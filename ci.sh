@@ -227,6 +227,10 @@ if "$tmpdir/gems-client" -addr 127.0.0.1:17687 execute "$stmt" >/dev/null 2>&1; 
     echo "execute of a deallocated handle must fail" >&2
     exit 1
 fi
+# Both wires share one request pipeline, so an HTTP parse error carries
+# the same "parse" code as over TCP.
+curl -fsS -X POST http://127.0.0.1:17688/query \
+    -d '{"script": "select from from"}' | grep -q '"code":"parse"'
 
 echo "== load smoke: open-loop serving-path gate (100 QPS x 5s) =="
 # Drive the running smoke server through the admission gate with the

@@ -224,26 +224,23 @@ func main() {
 	}
 	fmt.Printf("gems-server listening on %s\n", ln.Addr())
 
-	// One admission gate bounds the process across both front-ends, and
-	// one Limits value gives them identical deadline semantics.
-	limits := server.Limits{DefaultTimeout: *queryTimeout, MaxTimeout: *maxTimeout}
-	gate := server.NewGate(*maxInFlight, *maxQueue, opts.Obs)
-	// One registry of prepared-statement handles spans both front-ends: a
-	// statement prepared over TCP is executable over HTTP and vice versa.
-	prepared := server.NewPreparedSet(0)
+	// Both wires run every request through srv.Do, so one admission
+	// gate, one set of limits and one prepared-statement registry span
+	// them: a statement prepared over TCP is executable over HTTP.
+	srv := server.New(eng, *token)
+	srv.IdleTimeout = *idleTimeout
+	srv.WriteTimeout = *writeTimeout
+	srv.Limits = server.Limits{DefaultTimeout: *queryTimeout, MaxTimeout: *maxTimeout}
+	srv.Gate = server.NewGate(*maxInFlight, *maxQueue, opts.Obs)
+	srv.Log = logger
+	srv.Dist = dist
 
 	var hs *http.Server
 	if *httpAddr != "" {
 		fmt.Printf("web console on http://%s/\n", *httpAddr)
-		wh := web.New(eng)
-		wh.Log = logger
-		wh.Limits = limits
-		wh.Gate = gate
-		wh.Prepared = prepared
-		wh.Dist = dist
 		hs = &http.Server{
 			Addr:              *httpAddr,
-			Handler:           wh,
+			Handler:           web.New(srv),
 			ReadHeaderTimeout: 10 * time.Second,
 			ReadTimeout:       time.Minute,
 			WriteTimeout:      2 * time.Minute,
@@ -255,14 +252,6 @@ func main() {
 			}
 		}()
 	}
-	srv := server.New(eng, *token)
-	srv.IdleTimeout = *idleTimeout
-	srv.WriteTimeout = *writeTimeout
-	srv.Limits = limits
-	srv.Gate = gate
-	srv.Prepared = prepared
-	srv.Log = logger
-	srv.Dist = dist
 	if logger != nil {
 		logger.Info("listening", "addr", ln.Addr().String(), "traces", *traces, "partitions", *partitions,
 			"default_timeout", queryTimeout.String(), "max_inflight", *maxInFlight)

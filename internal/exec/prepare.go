@@ -72,23 +72,33 @@ func (e *Engine) PrepareIR(blob []byte) (*Prepared, error) {
 	return e.prepareIR(blob)
 }
 
-func (e *Engine) prepareIR(blob []byte) (*Prepared, error) {
-	// Decode a private copy of the statements from the IR: decoded
-	// strings are fresh allocations, so the handle cannot pin the
-	// caller's script buffer (or the IR input slice).
+// DecodeIR decodes an IR blob into its statements and, when the
+// engine's IRVerify mode says the check is due, runs the structural
+// verifier over them. The decoder only rejects malformed framing; Verify
+// closes the gap between "decoded" and "meaningful" before the
+// statements reach sema and the executor. This matters most for blobs
+// that crossed the wire from an untrusted client.
+func (e *Engine) DecodeIR(blob []byte) (*ast.Script, error) {
 	decoded, err := ir.Decode(blob)
 	if err != nil {
 		return nil, err
 	}
-	// The decoder only rejects malformed framing; Verify closes the gap
-	// between "decoded" and "meaningful" before the statements reach sema
-	// and the executor. This matters most on PrepareIR, whose blob crossed
-	// the wire from an untrusted client.
 	if e.irVerifyDue() {
 		if err := ir.Verify(decoded); err != nil {
 			e.met.noteIRVerifyFailure()
 			return nil, err
 		}
+	}
+	return decoded, nil
+}
+
+func (e *Engine) prepareIR(blob []byte) (*Prepared, error) {
+	// Decode a private copy of the statements from the IR: decoded
+	// strings are fresh allocations, so the handle cannot pin the
+	// caller's script buffer (or the IR input slice).
+	decoded, err := e.DecodeIR(blob)
+	if err != nil {
+		return nil, err
 	}
 	if len(decoded.Stmts) == 0 {
 		return nil, fmt.Errorf("graql: cannot prepare an empty script")

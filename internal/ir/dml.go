@@ -44,7 +44,7 @@ func (r *reader) insertStmt() (*ast.Insert, error) {
 		nVals := r.uvarint()
 		var tuple []expr.Expr
 		for j := uint64(0); j < nVals && r.err == nil; j++ {
-			e, err := r.expr()
+			e, err := r.reqExpr()
 			if err != nil {
 				return nil, err
 			}
@@ -78,7 +78,7 @@ func (r *reader) updateStmt() (*ast.Update, error) {
 	n := r.uvarint()
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		col := r.str()
-		e, err := r.expr()
+		e, err := r.reqExpr()
 		if err != nil {
 			return nil, err
 		}

@@ -302,18 +302,18 @@ func (r *reader) expr() (expr.Expr, error) {
 		return expr.NewRef(q, n), r.err
 	case tagUnary:
 		op := expr.Op(r.u8())
-		x, err := r.expr()
+		x, err := r.reqExpr()
 		if err != nil {
 			return nil, err
 		}
 		return &expr.Unary{Op: op, X: x}, r.err
 	case tagBinary:
 		op := expr.Op(r.u8())
-		l, err := r.expr()
+		l, err := r.reqExpr()
 		if err != nil {
 			return nil, err
 		}
-		rr, err := r.expr()
+		rr, err := r.reqExpr()
 		if err != nil {
 			return nil, err
 		}
@@ -322,4 +322,16 @@ func (r *reader) expr() (expr.Expr, error) {
 		r.fail("bad expression tag %d", tag)
 		return nil, r.err
 	}
+}
+
+// reqExpr reads an expression the grammar requires. The encoder never
+// writes a nil one there, and the AST cannot even render it, so it is
+// malformed framing rather than a script for Verify to judge.
+func (r *reader) reqExpr() (expr.Expr, error) {
+	e, err := r.expr()
+	if err == nil && e == nil {
+		r.fail("missing required expression")
+		return nil, r.err
+	}
+	return e, err
 }

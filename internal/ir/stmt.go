@@ -168,7 +168,11 @@ func (r *reader) selectStmt() (*ast.Select, error) {
 		it.AggStar = r.bool_()
 		it.Alias = r.str()
 		var err error
-		it.Expr, err = r.expr()
+		if it.AggStar {
+			it.Expr, err = r.expr()
+		} else {
+			it.Expr, err = r.reqExpr()
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graql/internal/ast"
 	"graql/internal/cluster"
 	"graql/internal/diag"
 	"graql/internal/exec"
@@ -71,6 +70,25 @@ type Request struct {
 	// Stmt names a prepared statement handle (ops "execute" and
 	// "deallocate"); ids are assigned by "prepare".
 	Stmt string `json:"stmt,omitempty"`
+
+	// Wire and Route name the front-end a request arrived through: its
+	// root trace span is (Wire, Route) and its log line carries op Route.
+	// They are not part of the wire format; empty means the TCP defaults
+	// ("server" and Op).
+	Wire  string `json:"-"`
+	Route string `json:"-"`
+}
+
+// origin resolves the request's root span name and log op label.
+func (r *Request) origin() (wire, route string) {
+	wire, route = r.Wire, r.Route
+	if wire == "" {
+		wire = "server"
+	}
+	if route == "" {
+		route = r.Op
+	}
+	return wire, route
 }
 
 // StmtResult is one statement's outcome on the wire.
@@ -158,10 +176,10 @@ type Limits struct {
 	MaxTimeout time.Duration
 }
 
-// TimeoutFor resolves the effective execution budget for one request:
+// timeoutFor resolves the effective execution budget for one request:
 // the client's timeoutMs when given, otherwise the default, clamped to
 // the maximum. Zero means "no deadline".
-func (l Limits) TimeoutFor(timeoutMs int) time.Duration {
+func (l Limits) timeoutFor(timeoutMs int) time.Duration {
 	d := l.DefaultTimeout
 	if timeoutMs > 0 {
 		d = time.Duration(timeoutMs) * time.Millisecond
@@ -187,16 +205,9 @@ type Server struct {
 	Limits Limits
 
 	// Gate, when non-nil, admission-controls the execution ops ("exec",
-	// "execir", "execute"); overflow requests fail with CodeOverloaded.
-	// Share one gate between the TCP and HTTP front-ends to bound the
-	// process globally. Set before Serve.
+	// "execir", "execute") on every wire; overflow requests fail with
+	// CodeOverloaded. Set before Serve.
 	Gate *Gate
-
-	// Prepared is the registry of prepared statement handles. New
-	// installs a default-capacity registry; replace it (before Serve)
-	// with a shared instance so the TCP and HTTP front-ends resolve the
-	// same handle ids.
-	Prepared *PreparedSet
 
 	// Log, when non-nil, receives one structured line per request
 	// (trace_id, op, code, elapsed_us) plus connection lifecycle events
@@ -209,8 +220,12 @@ type Server struct {
 	// Options.Dist).
 	Dist *cluster.TCPTransport
 
-	// baseCtx parents every request context; Shutdown cancels it to
-	// abort in-flight queries after the drain window.
+	// prepared is the registry of prepared statement handles; every wire
+	// resolves the same handle ids through Do.
+	prepared *PreparedSet
+
+	// baseCtx ends when Shutdown's drain window (or Close) aborts the
+	// requests still in flight.
 	baseCtx   context.Context
 	cancelAll context.CancelFunc
 	active    atomic.Int64 // requests currently being handled
@@ -230,17 +245,36 @@ func New(eng *exec.Engine, token string) *Server {
 		conns:     make(map[net.Conn]bool),
 		listeners: make(map[net.Listener]bool),
 		baseCtx:   ctx, cancelAll: cancel,
-		Prepared: NewPreparedSet(0),
+		prepared: NewPreparedSet(0),
 	}
 }
 
-// requestCtx derives one request's context from the server's base
-// context and the resolved timeout.
-func (s *Server) requestCtx(timeoutMs int) (context.Context, context.CancelFunc) {
-	if d := s.Limits.TimeoutFor(timeoutMs); d > 0 {
-		return context.WithTimeout(s.baseCtx, d)
+// Engine returns the engine the server executes on.
+func (s *Server) Engine() *exec.Engine { return s.eng }
+
+// Do runs one request through the front-end pipeline that every wire
+// shares: authentication, tracing, admission with its queued live-query
+// entry, the deadline, op routing and error classification. It stamps
+// ElapsedUs and emits the request's log line. ctx carries the caller's
+// lifetime (an HTTP client that disconnects cancels it); the request is
+// also canceled when Shutdown's drain window runs out.
+func (s *Server) Do(ctx context.Context, req *Request) *Response {
+	start := time.Now()
+	s.active.Add(1)
+	defer s.active.Add(-1)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	stop := context.AfterFunc(s.baseCtx, cancel)
+	defer stop()
+	if d := s.Limits.timeoutFor(req.TimeoutMs); d > 0 {
+		var cancelDeadline context.CancelFunc
+		ctx, cancelDeadline = context.WithTimeout(ctx, d)
+		defer cancelDeadline()
 	}
-	return context.WithCancel(s.baseCtx)
+	resp := s.handle(ctx, req)
+	resp.ElapsedUs = time.Since(start).Microseconds()
+	s.logRequest(req, resp)
+	return resp
 }
 
 // Serve accepts connections on ln until Close (or a permanent accept
@@ -364,19 +398,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := dec.Decode(&req); err != nil {
 			return // EOF, timeout or broken frame: drop the session
 		}
-		start := time.Now()
-		s.active.Add(1)
-		ctx, cancel := s.requestCtx(req.TimeoutMs)
-		resp := s.handle(ctx, &req)
-		cancel()
-		resp.ElapsedUs = time.Since(start).Microseconds()
-		s.logRequest(&req, resp)
-		if s.WriteTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
 		// The request counts as active until its response frame is on
 		// the wire, so a graceful drain never closes the connection
 		// between handling and writing.
+		s.active.Add(1)
+		resp := s.Do(context.Background(), &req)
+		if s.WriteTimeout > 0 {
+			_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
+		}
 		err := enc.Encode(resp)
 		s.active.Add(-1)
 		if err != nil {
@@ -392,9 +421,10 @@ func (s *Server) logRequest(req *Request, resp *Response) {
 	if s.Log == nil {
 		return
 	}
+	_, route := req.origin()
 	attrs := []any{
 		"trace_id", resp.TraceID,
-		"op", req.Op,
+		"op", route,
 		"code", resp.Code,
 		"elapsed_us", resp.ElapsedUs,
 	}
@@ -426,16 +456,18 @@ func traceableOp(op string) bool {
 	return false
 }
 
-// handleTraced wraps one request in a trace: the root "server" span
-// covers the whole handling, statement and operator spans of execution
-// nest beneath it, and the completed trace enters the registry's ring.
-// A client-supplied traceparent (Request.Trace) contributes the trace id
+// handleTraced wraps one request in a trace: the root span (named by
+// the request's origin: "server" on TCP, "web" on HTTP) covers the
+// whole handling, statement and operator spans of execution nest
+// beneath it, and the completed trace enters the registry's ring. A
+// client-supplied traceparent (Request.Trace) contributes the trace id
 // and the remote parent span id, so the server's tree joins a trace the
 // client originated.
 func (s *Server) handleTraced(ctx context.Context, req *Request) *Response {
 	tid, parent, _ := obs.ParseTraceParent(req.Trace)
 	tr := obs.NewTrace(tid)
-	root := tr.SpanUnder(parent, "server", req.Op)
+	wire, route := req.origin()
+	root := tr.SpanUnder(parent, wire, route)
 	resp := s.dispatch(ctx, req, s.eng.WithTrace(tr, root))
 	root.End()
 	resp.TraceID = tr.ID().String()
@@ -462,7 +494,7 @@ func (s *Server) dispatch(ctx context.Context, req *Request, eng *exec.Engine) *
 		case req.Op == "execir":
 			fp, text = obs.Fingerprint("(compiled ir)")
 		case req.Op == "execute":
-			if p := s.Prepared.Get(req.Stmt); p != nil {
+			if p := s.prepared.Get(req.Stmt); p != nil {
 				fp, text = s.eng.Opts.Obs.FingerprintCached(p.Text())
 			} else {
 				fp, text = obs.Fingerprint("(unknown prepared statement)")
@@ -477,31 +509,33 @@ func (s *Server) dispatch(ctx context.Context, req *Request, eng *exec.Engine) *
 		}
 		defer s.Gate.Release()
 		ctx = exec.WithQueueWait(qctx, time.Since(waitStart))
-		switch req.Op {
-		case "exec":
-			return s.execScript(ctx, req, eng)
-		case "execute":
+		if req.Op == "execute" {
 			return s.execPrepared(ctx, req, eng)
 		}
-		return s.execIR(ctx, req, eng)
+		return s.runScript(ctx, req, eng)
 	case "prepare":
 		return s.prepare(req)
 	case "deallocate":
 		if req.Stmt == "" {
 			return fail(CodeBadRequest, "deallocate requires stmt")
 		}
-		if !s.Prepared.Remove(req.Stmt) {
+		if !s.prepared.Remove(req.Stmt) {
 			return fail(CodeBadRequest, "unknown prepared statement %q", req.Stmt)
 		}
 		return &Response{OK: true, Results: []StmtResult{{Message: fmt.Sprintf("deallocated %s", req.Stmt)}}}
 	case "check":
 		return s.checkScript(req.Script)
 	case "compile":
-		return s.compile(req)
+		blob, bad := requestIR(req)
+		if bad != nil {
+			return bad
+		}
+		return &Response{OK: true, IR: base64.StdEncoding.EncodeToString(blob)}
 	case "stats":
 		return s.stats()
 	case "metrics":
-		return s.metrics()
+		// Without a registry the exposition is empty but the call succeeds.
+		return &Response{OK: true, Metrics: s.eng.Opts.Obs.PrometheusText()}
 	case "trace":
 		return &Response{OK: true, Traces: s.eng.Opts.Obs.Traces()}
 	case "statements":
@@ -539,61 +573,78 @@ func admissionFailure(err error) *Response {
 	}
 }
 
-// metrics renders the engine's observability registry in the Prometheus
-// text format; without a registry the exposition is empty but the call
-// still succeeds.
-func (s *Server) metrics() *Response {
-	return &Response{OK: true, Metrics: s.eng.Opts.Obs.PrometheusText()}
+// requestIR returns the request's script as binary IR. Op "execir",
+// and "prepare" without a script, carry base64 IR; every other op
+// carries script text, which is parsed and encoded — the §III front end
+// compiles each script to the IR it ships to the backend, so the codec
+// round-trips on all text traffic.
+func requestIR(req *Request) ([]byte, *Response) {
+	if req.Op == "execir" || (req.Op == "prepare" && req.Script == "") {
+		blob, err := base64.StdEncoding.DecodeString(req.IR)
+		if err != nil {
+			return nil, fail(CodeBadRequest, "bad IR base64: %v", err)
+		}
+		return blob, nil
+	}
+	script, err := parser.Parse(req.Script)
+	if err != nil {
+		return nil, fail(CodeParse, "%v", err)
+	}
+	blob, err := ir.Encode(script)
+	if err != nil {
+		return nil, fail(CodeExec, "%v", err)
+	}
+	return blob, nil
 }
 
-func (s *Server) execScript(ctx context.Context, req *Request, eng *exec.Engine) *Response {
+// runScript executes ops "exec" and "execir": the request's IR is
+// decoded and verified by the engine's shared helper, then its
+// statements run in order. A failing statement ends the script; the
+// results of the statements before it stay in the response.
+func (s *Server) runScript(ctx context.Context, req *Request, eng *exec.Engine) *Response {
 	params, err := decodeParams(req.Params)
 	if err != nil {
 		return fail(CodeBadRequest, "%v", err)
 	}
-	// Front-end path per §III: parse → compile to IR → ship the IR to
-	// the backend → decode and execute. Running the codec on every
-	// script keeps the IR honest (round-trip exercised on real traffic).
-	script, err := parser.Parse(req.Script)
-	if err != nil {
-		return fail(CodeParse, "%v", err)
+	blob, bad := requestIR(req)
+	if bad != nil {
+		return bad
 	}
-	blob, err := ir.Encode(script)
+	script, err := eng.DecodeIR(blob)
 	if err != nil {
-		return fail(CodeExec, "%v", err)
+		return fail(CodeBadRequest, "%v", err)
 	}
-	decoded, err := ir.Decode(blob)
-	if err != nil {
-		return fail(CodeExec, "%v", err)
+	resp := &Response{}
+	for i, st := range script.Stmts {
+		r, err := eng.ExecStmtContext(ctx, st, params)
+		if err != nil {
+			resp.Code = ErrorCode(err)
+			resp.Error = fmt.Sprintf("statement %d: %v", i+1, err)
+			return resp
+		}
+		resp.Results = append(resp.Results, EncodeResult(r))
 	}
-	return run(ctx, eng, decoded, params)
+	resp.OK = true
+	return resp
 }
 
 // prepare compiles a script (or already-compiled IR) into a server-side
-// prepared statement handle: parse → binary IR → fingerprints, plus
-// eager semantic analysis and plan-cache warming for read-only scripts.
-// The assigned handle id comes back in Response.Stmt.
+// prepared statement handle: binary IR → fingerprints, plus eager
+// semantic analysis and plan-cache warming for read-only scripts. The
+// assigned handle id comes back in Response.Stmt.
 func (s *Server) prepare(req *Request) *Response {
-	var (
-		p   *exec.Prepared
-		err error
-	)
-	switch {
-	case req.Script != "":
-		p, err = s.eng.Prepare(req.Script)
-	case req.IR != "":
-		var blob []byte
-		if blob, err = base64.StdEncoding.DecodeString(req.IR); err != nil {
-			return fail(CodeBadRequest, "bad IR base64: %v", err)
-		}
-		p, err = s.eng.PrepareIR(blob)
-	default:
+	if req.Script == "" && req.IR == "" {
 		return fail(CodeBadRequest, "prepare requires script or ir")
 	}
+	blob, bad := requestIR(req)
+	if bad != nil {
+		return bad
+	}
+	p, err := s.eng.PrepareIR(blob)
 	if err != nil {
 		return fail(CodeParse, "%v", err)
 	}
-	id := s.Prepared.Add(p)
+	id := s.prepared.Add(p)
 	return &Response{
 		OK: true, Stmt: id,
 		Results: []StmtResult{{Message: fmt.Sprintf("prepared %d statement(s) as %s", p.NumStmts(), id)}},
@@ -602,7 +653,7 @@ func (s *Server) prepare(req *Request) *Response {
 
 // execPrepared runs a prepared handle, binding the request's parameters.
 func (s *Server) execPrepared(ctx context.Context, req *Request, eng *exec.Engine) *Response {
-	p := s.Prepared.Get(req.Stmt)
+	p := s.prepared.Get(req.Stmt)
 	if p == nil {
 		return fail(CodeBadRequest, "unknown prepared statement %q", req.Stmt)
 	}
@@ -640,38 +691,9 @@ func (s *Server) checkScript(src string) *Response {
 	return resp
 }
 
-func (s *Server) compile(req *Request) *Response {
-	script, err := parser.Parse(req.Script)
-	if err != nil {
-		return fail(CodeParse, "%v", err)
-	}
-	blob, err := ir.Encode(script)
-	if err != nil {
-		return fail(CodeExec, "%v", err)
-	}
-	return &Response{OK: true, IR: base64.StdEncoding.EncodeToString(blob)}
-}
-
-func (s *Server) execIR(ctx context.Context, req *Request, eng *exec.Engine) *Response {
-	params, err := decodeParams(req.Params)
-	if err != nil {
-		return fail(CodeBadRequest, "%v", err)
-	}
-	blob, err := base64.StdEncoding.DecodeString(req.IR)
-	if err != nil {
-		return fail(CodeBadRequest, "bad IR base64: %v", err)
-	}
-	script, err := ir.Decode(blob)
-	if err != nil {
-		return fail(CodeBadRequest, "%v", err)
-	}
-	return run(ctx, eng, script, params)
-}
-
 // ErrorCode classifies an execution error for the wire: context aborts
 // map to their structured codes, worker failures on the distributed
 // path map to "partial", everything else is a plain exec failure.
-// Shared with the HTTP front-end.
 func ErrorCode(err error) string {
 	switch {
 	case errors.Is(err, exec.ErrDeadlineExceeded):
@@ -683,21 +705,6 @@ func ErrorCode(err error) string {
 	default:
 		return CodeExec
 	}
-}
-
-func run(ctx context.Context, eng *exec.Engine, script *ast.Script, params map[string]value.Value) *Response {
-	resp := &Response{}
-	for i, st := range script.Stmts {
-		r, err := eng.ExecStmtContext(ctx, st, params)
-		if err != nil {
-			resp.Code = ErrorCode(err)
-			resp.Error = fmt.Sprintf("statement %d: %v", i+1, err)
-			return resp
-		}
-		resp.Results = append(resp.Results, EncodeResult(r))
-	}
-	resp.OK = true
-	return resp
 }
 
 func (s *Server) stats() *Response {
@@ -713,8 +720,7 @@ func (s *Server) stats() *Response {
 	return resp
 }
 
-// EncodeResult converts an engine result to its wire form (shared with
-// the web front-end).
+// EncodeResult converts an engine result to its wire form.
 func EncodeResult(r exec.Result) StmtResult {
 	out := StmtResult{Message: r.Message}
 	switch r.Kind {

@@ -18,6 +18,18 @@ import (
 // 3-hop enumerations) over HTTP with the given limits and gate.
 func denseWebServer(t *testing.T, limits server.Limits, gate *server.Gate) *httptest.Server {
 	t.Helper()
+	srv := server.New(denseEngine(t), "")
+	srv.Limits = limits
+	srv.Gate = gate
+	ts := httptest.NewServer(web.New(srv))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// denseEngine loads the dense synthetic graph whose unanchored 3-hop
+// enumeration takes a few hundred ms.
+func denseEngine(t *testing.T) *exec.Engine {
+	t.Helper()
 	eng := exec.New(exec.DefaultOptions())
 	if _, err := eng.ExecScript(`
 create table Nodes(id varchar(8))
@@ -43,12 +55,7 @@ where Links.src = A.id and Links.dst = B.id
 	if err := eng.IngestReader("Links", strings.NewReader(links.String())); err != nil {
 		t.Fatal(err)
 	}
-	h := web.New(eng)
-	h.Limits = limits
-	h.Gate = gate
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-	return ts
+	return eng
 }
 
 const webSlowQuery = `select a.id as src, d.id as dst from graph def a: N ( ) --link--> N ( ) --link--> N ( ) --link--> def d: N ( ) into table SlowT`
@@ -142,4 +149,51 @@ func TestWebOverloaded(t *testing.T) {
 func jsonQuote(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)
+}
+
+// TestWebShutdownCancels checks Server.Shutdown's drain-then-cancel
+// covers HTTP requests: a query still running when the drain window
+// ends is canceled and its caller gets the structured "canceled" code.
+func TestWebShutdownCancels(t *testing.T) {
+	srv := server.New(denseEngine(t), "")
+	gate := server.NewGate(0, 0, nil) // no limit; counts admitted queries
+	srv.Gate = gate
+	ts := httptest.NewServer(web.New(srv))
+	t.Cleanup(ts.Close)
+
+	type result struct {
+		out map[string]any
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/query", "application/json",
+			strings.NewReader(`{"script": `+jsonQuote(webSlowQuery)+`}`))
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		done <- result{out, err}
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for gate.InFlight() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("slow query never reached execution")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if srv.Shutdown(20 * time.Millisecond) {
+		t.Error("Shutdown() = true, want the slow query still running after the drain window")
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.out["code"] != server.CodeCanceled {
+		t.Fatalf("code = %v, want %q (body: %v)", r.out["code"], server.CodeCanceled, r.out)
+	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"graql/internal/cluster"
 	"graql/internal/exec"
+	"graql/internal/server"
 	"graql/internal/web"
 )
 
@@ -47,9 +48,9 @@ func bootDist(t *testing.T, eng *exec.Engine) (*httptest.Server, []*cluster.Work
 		t.Fatal(err)
 	}
 	t.Cleanup(tp.Close)
-	h := web.New(eng)
-	h.Dist = tp
-	ts := httptest.NewServer(h)
+	srv := server.New(eng, "")
+	srv.Dist = tp
+	ts := httptest.NewServer(web.New(srv))
 	t.Cleanup(ts.Close)
 	return ts, workers, listeners
 }

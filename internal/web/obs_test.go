@@ -10,6 +10,7 @@ import (
 
 	"graql/internal/exec"
 	"graql/internal/obs"
+	"graql/internal/server"
 	"graql/internal/web"
 )
 
@@ -18,24 +19,8 @@ func obsServer(t *testing.T) (*httptest.Server, *exec.Engine) {
 	t.Helper()
 	opts := exec.DefaultOptions()
 	opts.Obs = obs.New()
-	eng := exec.New(opts)
-	if _, err := eng.ExecScript(`
-create table Cities(id varchar(8), country varchar(2))
-create table Roads(src varchar(8), dst varchar(8))
-create vertex City(id) from table Cities
-create edge road with vertices (City as A, City as B)
-from table Roads
-where Roads.src = A.id and Roads.dst = B.id
-`, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Cities", strings.NewReader("p,US\nq,US\nr,CA\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Roads", strings.NewReader("p,q\nq,r\n")); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(web.New(eng))
+	eng := citiesEngine(t, opts)
+	ts := httptest.NewServer(web.New(server.New(eng, "")))
 	t.Cleanup(ts.Close)
 	return ts, eng
 }

@@ -1,19 +1,18 @@
 // Package web implements the paper's second client class: "clients can
 // range from a simple command-line interface to web-based front-ends"
-// (§III). It exposes the engine over HTTP with a JSON query endpoint, a
-// catalog endpoint, and a minimal self-contained HTML console.
+// (§III). It exposes a server.Server over HTTP: the JSON query, prepare,
+// execute and catalog routes are a codec over the server's request
+// pipeline, beside the observability endpoints and a minimal
+// self-contained HTML console.
 package web
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"html/template"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"time"
 
 	"graql/internal/cluster"
@@ -21,44 +20,23 @@ import (
 	"graql/internal/exec"
 	"graql/internal/obs"
 	"graql/internal/server"
-	"graql/internal/value"
 )
 
-// Handler serves the GEMS web front-end for one engine.
+// Handler serves the GEMS web front-end for one server. The pipeline
+// routes (/query, /prepare, /execute, /catalog and the query-cancel
+// route) are a thin codec over server.Server.Do, so authentication,
+// admission, deadlines, tracing and error codes are the TCP wire's.
 type Handler struct {
+	srv *server.Server
 	eng *exec.Engine
 	mux *http.ServeMux
-
-	// Log, when non-nil, receives one structured line per /query request
-	// (trace_id, op, code, elapsed_us). Set before serving.
-	Log *slog.Logger
-
-	// Limits configures per-query deadlines for /query (same semantics
-	// as the TCP front-end). Set before serving.
-	Limits server.Limits
-
-	// Gate, when non-nil, admission-controls /query and /execute;
-	// overflow requests get 503 with code "overloaded". Share one gate
-	// with the TCP front-end to bound the process globally. Set before
-	// serving.
-	Gate *server.Gate
-
-	// Prepared is the prepared-statement registry backing /prepare and
-	// /execute. New installs a private set; replace it before serving to
-	// share handles with the TCP front-end (gems-server does).
-	Prepared *server.PreparedSet
-
-	// Dist, when non-nil, is the coordinator's transport to the
-	// distributed worker processes: /readyz probes it and reports 503
-	// with the degraded worker set while any worker is down, and
-	// /workers exposes the per-worker health view. Set before serving.
-	Dist *cluster.TCPTransport
 }
 
-// New returns the front-end handler.
+// New returns the front-end handler over srv.
 //
 //	GET  /             the HTML console
 //	POST /query        {"script": "...", "params": {"P": {"type": "varchar", "value": "x"}}}
+//	                   ({"check": true} runs static analysis only)
 //	POST /prepare      {"script": "..."} → {"stmt": "s1"} (compile once, keep the handle)
 //	POST /execute      {"stmt": "s1", "params": {...}} → results (run the compiled handle)
 //	POST /vet          {"script": "..."} → every static-analysis finding as JSON
@@ -75,15 +53,17 @@ type Handler struct {
 //	GET  /workers      distributed worker health as JSON (actively probed)
 //	GET  /debug/pprof/ the standard Go profiling endpoints
 //
+// The pipeline routes take the server token from an "Authorization:
+// Bearer" header and a W3C traceparent from the "traceparent" header.
 // Non-POST methods on /query are rejected with 405 (the method pattern
 // restricts the route). /metrics and the debug endpoints work — with an
 // empty exposition — when the engine has no observability registry.
-func New(eng *exec.Engine) *Handler {
-	h := &Handler{eng: eng, mux: http.NewServeMux(), Prepared: server.NewPreparedSet(0)}
+func New(srv *server.Server) *Handler {
+	h := &Handler{srv: srv, eng: srv.Engine(), mux: http.NewServeMux()}
 	h.mux.HandleFunc("GET /{$}", h.console)
 	h.mux.HandleFunc("POST /query", h.query)
-	h.mux.HandleFunc("POST /prepare", h.prepare)
-	h.mux.HandleFunc("POST /execute", h.execute)
+	h.mux.HandleFunc("POST /prepare", h.route("prepare"))
+	h.mux.HandleFunc("POST /execute", h.route("execute"))
 	h.mux.HandleFunc("POST /vet", h.vet)
 	h.mux.HandleFunc("GET /catalog", h.catalog)
 	h.mux.HandleFunc("GET /metrics", h.metrics)
@@ -153,20 +133,21 @@ func (h *Handler) liveQueries(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"queries": qs})
 }
 
-// cancelQuery cooperatively cancels one in-flight query by id.
+// cancelQuery cooperatively cancels one in-flight query by id (op
+// "cancelq"); an id the server does not know answers 404.
 func (h *Handler) cancelQuery(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil || id == 0 {
 		writeJSON(w, http.StatusBadRequest,
-			map[string]any{"ok": false, "error": "bad query id"})
+			server.Response{Code: server.CodeBadRequest, Error: "bad query id"})
 		return
 	}
-	if !h.eng.Opts.Obs.CancelQuery(id) {
-		writeJSON(w, http.StatusNotFound,
-			map[string]any{"ok": false, "error": fmt.Sprintf("no such query id %d", id)})
-		return
+	resp := h.do(r, &server.Request{QueryID: id}, "cancelq")
+	status := statusOf(w, resp)
+	if resp.Code == server.CodeBadRequest {
+		status = http.StatusNotFound
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "canceled": id})
+	writeJSON(w, status, resp)
 }
 
 // emptyNotNull keeps the traces field a JSON array even when empty.
@@ -196,8 +177,8 @@ func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 			map[string]any{"ok": false, "reason": "worker pool unresponsive"})
 		return
 	}
-	if h.Dist != nil {
-		status := h.Dist.Probe(2 * time.Second)
+	if dist := h.srv.Dist; dist != nil {
+		status := dist.Probe(2 * time.Second)
 		var degraded []cluster.WorkerStatus
 		for _, ws := range status {
 			if !ws.Healthy {
@@ -222,267 +203,101 @@ func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 // workers exposes the distributed cluster's per-worker health (actively
 // probed). Without a distributed transport the list is empty.
 func (h *Handler) workers(w http.ResponseWriter, _ *http.Request) {
-	if h.Dist == nil {
+	dist := h.srv.Dist
+	if dist == nil {
 		writeJSON(w, http.StatusOK, map[string]any{"distributed": false, "workers": []cluster.WorkerStatus{}})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"distributed": true, "workers": h.Dist.Probe(2 * time.Second)})
+	writeJSON(w, http.StatusOK, map[string]any{"distributed": true, "workers": dist.Probe(2 * time.Second)})
 }
 
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
 
-// queryRequest is the /query body (parameter encoding shared with the TCP
-// protocol).
-type queryRequest struct {
-	Script string                  `json:"script"`
-	Params map[string]server.Param `json:"params,omitempty"`
-	// Stmt names a prepared-statement handle (for /execute).
-	Stmt string `json:"stmt,omitempty"`
-	// Check runs static analysis only.
-	Check bool `json:"check,omitempty"`
-	// TimeoutMs optionally bounds this request's execution in
-	// milliseconds; it overrides the handler's default timeout and is
-	// clamped to the maximum (same semantics as the TCP protocol).
-	TimeoutMs int `json:"timeoutMs,omitempty"`
-}
-
-type queryResponse struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	// Code classifies a failure with the TCP protocol's vocabulary
-	// (parse | bad_request | exec | canceled | deadline | overloaded).
-	Code    string              `json:"code,omitempty"`
-	Results []server.StmtResult `json:"results,omitempty"`
-	// Stmt is the prepared-statement handle assigned by /prepare.
-	Stmt string `json:"stmt,omitempty"`
-	// TraceID reports the request's trace id when the engine's registry
-	// retains traces (also sent as the X-Trace-Id response header).
-	TraceID string `json:"traceId,omitempty"`
-}
-
+// query runs a script: op "exec", or op "check" (static analysis with
+// every diagnostic) when the body sets "check".
 func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			queryResponse{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
+	var body struct {
+		server.Request
+		Check bool `json:"check"`
+	}
+	if !decodeBody(w, r, &body) {
 		return
 	}
-	if req.Check {
-		if err := exec.CheckScript(req.Script); err != nil {
-			writeJSON(w, http.StatusOK, queryResponse{Code: server.CodeParse, Error: err.Error()})
-			return
+	op := "exec"
+	if body.Check {
+		op = "check"
+	}
+	h.serve(w, r, &body.Request, op)
+}
+
+// route returns the handler of a pipeline route whose body is a
+// server.Request and whose op is fixed by the path.
+func (h *Handler) route(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req server.Request
+		if decodeBody(w, r, &req) {
+			h.serve(w, r, &req, op)
 		}
-		writeJSON(w, http.StatusOK, queryResponse{OK: true,
-			Results: []server.StmtResult{{Message: "script is statically valid"}}})
-		return
 	}
-	params, err := decodeParams(req.Params)
-	if err != nil {
-		writeJSON(w, http.StatusOK, queryResponse{Code: server.CodeBadRequest, Error: err.Error()})
-		return
-	}
+}
 
-	// The request context carries both the per-query deadline and the
-	// connection's lifetime: a client that disconnects mid-query cancels
-	// the execution through r.Context().
-	ctx := r.Context()
-	if d := h.Limits.TimeoutFor(req.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
+// catalog serves the catalog snapshot (op "stats") as a bare JSON array.
+func (h *Handler) catalog(w http.ResponseWriter, r *http.Request) {
+	resp := h.do(r, &server.Request{}, "stats")
+	var body any = resp
+	if resp.OK {
+		body = resp.Catalog
 	}
-	// While queued for admission the request is visible in the live query
-	// table (state "queued") and cancelable by id; the measured wait rides
-	// the context into per-statement accounting.
-	qctx, qcancel := context.WithCancel(ctx)
-	defer qcancel()
-	fp, text := h.eng.Opts.Obs.FingerprintCached(req.Script)
-	lq := h.eng.Opts.Obs.StartQueuedQuery(fp, text, qcancel)
-	waitStart := time.Now()
-	gateErr := h.Gate.Acquire(qctx)
-	lq.Finish()
-	if gateErr != nil {
-		resp := queryResponse{Error: gateErr.Error()}
-		status := http.StatusOK
-		switch {
-		case errors.Is(gateErr, server.ErrOverloaded):
-			resp.Code = server.CodeOverloaded
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", "1")
-		case errors.Is(gateErr, context.DeadlineExceeded):
-			resp.Code = server.CodeDeadline
-		default:
-			resp.Code = server.CodeCanceled
-		}
-		h.logQuery(resp, start)
-		writeJSON(w, status, resp)
-		return
-	}
-	defer h.Gate.Release()
-	ctx = exec.WithQueueWait(qctx, time.Since(waitStart))
+	writeJSON(w, statusOf(w, resp), body)
+}
 
-	// Request tracing: when the registry retains traces, the whole script
-	// runs under a "web" root span; an incoming W3C traceparent header
-	// joins the request to the caller's trace.
-	eng := h.eng
-	reg := h.eng.Opts.Obs
-	var tr *obs.Trace
-	var root *obs.Span
-	if reg.TracingEnabled() {
-		tid, parent, _ := obs.ParseTraceParent(r.Header.Get("traceparent"))
-		tr = obs.NewTrace(tid)
-		root = tr.SpanUnder(parent, "web", "/query")
-		eng = h.eng.WithTrace(tr, root)
-	}
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request, req *server.Request, op string) {
+	resp := h.do(r, req, op)
+	writeJSON(w, statusOf(w, resp), resp)
+}
 
-	results, err := eng.ExecScriptContext(ctx, req.Script, params)
-	resp := queryResponse{OK: err == nil}
-	if err != nil {
-		resp.Error = err.Error()
-		resp.Code = server.ErrorCode(err)
+// do runs one HTTP request through the server pipeline. The route fixes
+// the op and names the trace root and log label; the headers carry the
+// trace context and the bearer token.
+func (h *Handler) do(r *http.Request, req *server.Request, op string) *server.Response {
+	req.Op = op
+	req.Wire, req.Route = "web", r.URL.Path
+	req.Trace = r.Header.Get("traceparent")
+	req.Auth = ""
+	if tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok {
+		req.Auth = tok
 	}
-	for _, res := range results {
-		resp.Results = append(resp.Results, server.EncodeResult(res))
-	}
-	if tr != nil {
-		root.End()
-		resp.TraceID = tr.ID().String()
+	return h.srv.Do(r.Context(), req)
+}
+
+// statusOf maps a pipeline response to its HTTP status — 401 for auth
+// failures, 503 with Retry-After for admission overload, 200 otherwise
+// (request-level failures travel in the body's code field) — and sets
+// X-Trace-Id on traced responses.
+func statusOf(w http.ResponseWriter, resp *server.Response) int {
+	if resp.TraceID != "" {
 		w.Header().Set("X-Trace-Id", resp.TraceID)
-		reg.ObserveTrace(tr)
 	}
-	h.logQuery(resp, start)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// logQuery emits the per-request structured line with the shared schema
-// fields (trace_id, op, code, elapsed_us).
-func (h *Handler) logQuery(resp queryResponse, start time.Time) {
-	h.logOp(resp, "/query", start)
-}
-
-func (h *Handler) logOp(resp queryResponse, op string, start time.Time) {
-	if h.Log == nil {
-		return
+	switch resp.Code {
+	case server.CodeAuth:
+		return http.StatusUnauthorized
+	case server.CodeOverloaded:
+		w.Header().Set("Retry-After", "1")
+		return http.StatusServiceUnavailable
 	}
-	h.Log.Info("request",
-		"trace_id", resp.TraceID,
-		"op", op,
-		"code", resp.Code,
-		"elapsed_us", time.Since(start).Microseconds())
+	return http.StatusOK
 }
 
-// prepare compiles a script into a server-side prepared statement
-// (parse → binary IR → fingerprints, plus eager analysis for read-only
-// scripts) and returns the assigned handle id in the stmt field.
-func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+// decodeBody decodes a JSON request body, answering 400 with code
+// bad_request when it is malformed.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		writeJSON(w, http.StatusBadRequest,
-			queryResponse{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
-		return
+			server.Response{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
+		return false
 	}
-	if req.Script == "" {
-		writeJSON(w, http.StatusOK,
-			queryResponse{Code: server.CodeBadRequest, Error: "prepare requires script"})
-		return
-	}
-	p, err := h.eng.Prepare(req.Script)
-	if err != nil {
-		writeJSON(w, http.StatusOK, queryResponse{Code: server.CodeParse, Error: err.Error()})
-		return
-	}
-	id := h.Prepared.Add(p)
-	writeJSON(w, http.StatusOK, queryResponse{
-		OK: true, Stmt: id,
-		Results: []server.StmtResult{{Message: fmt.Sprintf("prepared %d statement(s) as %s", p.NumStmts(), id)}},
-	})
-}
-
-// execute runs a prepared handle, binding the request's parameters. It
-// passes the same admission gate and deadline clamp as /query.
-func (h *Handler) execute(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			queryResponse{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
-		return
-	}
-	p := h.Prepared.Get(req.Stmt)
-	if p == nil {
-		writeJSON(w, http.StatusOK, queryResponse{Code: server.CodeBadRequest,
-			Error: fmt.Sprintf("unknown prepared statement %q", req.Stmt)})
-		return
-	}
-	params, err := decodeParams(req.Params)
-	if err != nil {
-		writeJSON(w, http.StatusOK, queryResponse{Code: server.CodeBadRequest, Error: err.Error()})
-		return
-	}
-
-	ctx := r.Context()
-	if d := h.Limits.TimeoutFor(req.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	qctx, qcancel := context.WithCancel(ctx)
-	defer qcancel()
-	fp, text := h.eng.Opts.Obs.FingerprintCached(p.Text())
-	lq := h.eng.Opts.Obs.StartQueuedQuery(fp, text, qcancel)
-	waitStart := time.Now()
-	gateErr := h.Gate.Acquire(qctx)
-	lq.Finish()
-	if gateErr != nil {
-		resp := queryResponse{Error: gateErr.Error()}
-		status := http.StatusOK
-		switch {
-		case errors.Is(gateErr, server.ErrOverloaded):
-			resp.Code = server.CodeOverloaded
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", "1")
-		case errors.Is(gateErr, context.DeadlineExceeded):
-			resp.Code = server.CodeDeadline
-		default:
-			resp.Code = server.CodeCanceled
-		}
-		h.logOp(resp, "/execute", start)
-		writeJSON(w, status, resp)
-		return
-	}
-	defer h.Gate.Release()
-	ctx = exec.WithQueueWait(qctx, time.Since(waitStart))
-
-	eng := h.eng
-	reg := h.eng.Opts.Obs
-	var tr *obs.Trace
-	var root *obs.Span
-	if reg.TracingEnabled() {
-		tid, parent, _ := obs.ParseTraceParent(r.Header.Get("traceparent"))
-		tr = obs.NewTrace(tid)
-		root = tr.SpanUnder(parent, "web", "/execute")
-		eng = h.eng.WithTrace(tr, root)
-	}
-
-	results, err := eng.ExecPreparedContext(ctx, p, params)
-	resp := queryResponse{OK: err == nil}
-	if err != nil {
-		resp.Error = err.Error()
-		resp.Code = server.ErrorCode(err)
-	}
-	for _, res := range results {
-		resp.Results = append(resp.Results, server.EncodeResult(res))
-	}
-	if tr != nil {
-		root.End()
-		resp.TraceID = tr.ID().String()
-		w.Header().Set("X-Trace-Id", resp.TraceID)
-		reg.ObserveTrace(tr)
-	}
-	h.logOp(resp, "/execute", start)
-	writeJSON(w, http.StatusOK, resp)
+	return true
 }
 
 // vetResponse is the /vet body: every static-analysis finding, sorted
@@ -499,10 +314,8 @@ type vetResponse struct {
 // and the lint tier — over a self-contained script and reports every
 // finding with its stable code and line:col position.
 func (h *Handler) vet(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			queryResponse{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
+	var req server.Request
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	diags := h.eng.VetScript(req.Script)
@@ -516,38 +329,6 @@ func (h *Handler) vet(w http.ResponseWriter, r *http.Request) {
 		Warnings:    len(diags) - nerr,
 		Diagnostics: diags,
 	})
-}
-
-func (h *Handler) catalog(w http.ResponseWriter, _ *http.Request) {
-	h.eng.Cat.RLock()
-	defer h.eng.Cat.RUnlock()
-	var out []server.CatalogEntry
-	for _, s := range h.eng.Cat.Stats() {
-		out = append(out, server.CatalogEntry{
-			Kind: s.Kind, Name: s.Name, Count: s.Count,
-			AvgOutDegree: s.AvgOutDegree, AvgInDegree: s.AvgInDegree,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func decodeParams(raw map[string]server.Param) (map[string]value.Value, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]value.Value, len(raw))
-	for name, p := range raw {
-		t, err := value.ParseType(p.Type)
-		if err != nil {
-			return nil, fmt.Errorf("parameter %s: %v", name, err)
-		}
-		v, err := value.Parse(p.Value, t)
-		if err != nil {
-			return nil, fmt.Errorf("parameter %s: %v", name, err)
-		}
-		out[name] = v
-	}
-	return out, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -14,7 +14,17 @@ import (
 
 func testServer(t *testing.T) (*httptest.Server, *exec.Engine) {
 	t.Helper()
-	eng := exec.New(exec.DefaultOptions())
+	eng := citiesEngine(t, exec.DefaultOptions())
+	ts := httptest.NewServer(web.New(server.New(eng, "")))
+	t.Cleanup(ts.Close)
+	return ts, eng
+}
+
+// citiesEngine builds the three-city road graph (p→q→r) the web tests
+// query.
+func citiesEngine(t *testing.T, opts exec.Options) *exec.Engine {
+	t.Helper()
+	eng := exec.New(opts)
 	if _, err := eng.ExecScript(`
 create table Cities(id varchar(8), country varchar(2))
 create table Roads(src varchar(8), dst varchar(8))
@@ -31,9 +41,7 @@ where Roads.src = A.id and Roads.dst = B.id
 	if err := eng.IngestReader("Roads", strings.NewReader("p,q\nq,r\n")); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(web.New(eng))
-	t.Cleanup(ts.Close)
-	return ts, eng
+	return eng
 }
 
 func postQuery(t *testing.T, ts *httptest.Server, body string) map[string]any {
