@@ -104,7 +104,7 @@ func TestExplainThroughPublicAPI(t *testing.T) {
 	db := roadsDB(t)
 	res := db.MustExec(`explain select B.id from graph City (id = 'PDX') --road--> def B: City ( )`)
 	out := res[0].Table().String()
-	if !strings.Contains(out, "scan") || !strings.Contains(out, "expand") {
+	if !strings.Contains(out, "seek") || !strings.Contains(out, "expand") {
 		t.Errorf("explain output:\n%s", out)
 	}
 }

@@ -167,7 +167,7 @@ func (*Ingest) stmt() {}
 func (s *Ingest) Span() diag.Span { return s.Loc }
 
 func (s *Ingest) String() string {
-	return fmt.Sprintf("ingest table %s '%s'", s.Table, s.File)
+	return fmt.Sprintf("ingest table %s %s", s.Table, quote(s.File))
 }
 
 // Output writes a table to a CSV file — the engine's "eventual output to
@@ -186,7 +186,13 @@ func (*Output) stmt() {}
 func (s *Output) Span() diag.Span { return s.Loc }
 
 func (s *Output) String() string {
-	return fmt.Sprintf("output table %s '%s'", s.Table, s.File)
+	return fmt.Sprintf("output table %s %s", s.Table, quote(s.File))
+}
+
+// quote renders s as a string literal, doubling each embedded quote,
+// which is how the lexer escapes one.
+func quote(s string) string {
+	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 }
 
 // AggFunc enumerates aggregate functions in select items.

@@ -11,9 +11,9 @@ import (
 // stmtAcct is the per-statement accounting record behind the
 // observability layer's StmtEvent: ExecStmt creates one per executed
 // statement (when a registry is configured), the execution paths feed it
-// — matcher sweeps add scan work, the WAL append adds bytes, parallel
-// sweeps record their fan-out — and observeStmt folds it into the
-// statement's event. It travels on the engine's shallow fork, so nested
+// — matcher sweeps and table accesses add scan work, the WAL append adds
+// bytes, parallel sweeps record their fan-out — and observeStmt folds it
+// into the statement's event. It travels on the engine's shallow fork, so nested
 // helpers reach it as e.acct without plumbing.
 type stmtAcct struct {
 	fp        uint64
@@ -48,6 +48,21 @@ func (a *stmtAcct) noteWorkers(n int) {
 		cur := a.workers.Load()
 		if v <= cur || a.workers.CompareAndSwap(cur, v) {
 			return
+		}
+	}
+}
+
+// noteScanned charges rows examined by a table access to the scan
+// counter, the statement's wide event and its live-query progress.
+func (e *Engine) noteScanned(n int64) {
+	if e.met.reg == nil {
+		return
+	}
+	e.met.rowsScanned.Add(n)
+	if a := e.acct; a != nil {
+		a.rowsScanned.Add(n)
+		if a.live != nil {
+			a.live.AddRows(n)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func (e *Engine) runExplainAnalyze(s *sema.Select, params map[string]value.Value
 	// normalized text of the explain-stripped statement is what plain
 	// executions of any formatting of this shape key on.
 	if e.plans != nil && s.Decl != nil {
-		fp, _ := e.met.reg.FingerprintCached(stripExplainPrefix(e.stmtSrc(s.Decl)))
+		fp, _ := e.met.reg.FingerprintCached(stripExplainPrefix(e.stmtSrc(s.Decl, "")))
 		detail := "miss — shape not cached at current catalog epoch"
 		if e.plans.peekFP(fp, e.Cat.Epoch()) {
 			detail = "hit — shape cached at current catalog epoch"

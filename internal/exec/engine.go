@@ -262,8 +262,13 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 	}
 	run := e
 	var sp *obs.Span
+	// rendered is st.String() once computed: an IR-decoded statement has
+	// no source span, so its span label and its identity share one
+	// rendering.
+	var rendered string
 	if e.trace != nil {
-		sp = e.opSpan("statement", stmtDetail(st))
+		rendered = st.String()
+		sp = e.opSpan("statement", stmtDetail(rendered))
 		sp.SetAttr("kind", stmtKind(st))
 		run = e.fork(e.trace, sp)
 	}
@@ -278,7 +283,7 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 		if id != nil {
 			fp, text, script = id.fp, id.norm, id.script
 		} else {
-			script = e.stmtSrc(st)
+			script = e.stmtSrc(st, rendered)
 			fp, text = e.met.reg.FingerprintCached(script)
 		}
 		acct = &stmtAcct{fp: fp, text: text, script: script}
@@ -339,12 +344,16 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 
 // stmtSrc returns the statement's source text: its span sliced out of
 // the running script (set by withSrc) when available, else the
-// canonical AST rendering. Fingerprint normalization collapses the
-// formatting differences between the two forms.
-func (e *Engine) stmtSrc(st ast.Stmt) string {
+// canonical AST rendering — rendered, when the caller already holds it
+// (else ""). Fingerprint normalization collapses the formatting
+// differences between the two forms.
+func (e *Engine) stmtSrc(st ast.Stmt, rendered string) string {
 	if sp := st.Span(); e.src != "" && sp.Known() &&
 		sp.Start >= 0 && sp.Start < sp.End && sp.End <= len(e.src) {
 		return e.src[sp.Start:sp.End]
+	}
+	if rendered != "" {
+		return rendered
 	}
 	return st.String()
 }

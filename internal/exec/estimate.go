@@ -163,12 +163,15 @@ func typingIntervals(m *matcher, nodeCond []expr.Expr) ([]plan.Interval, plan.In
 
 // nodeInterval bounds the candidate set of a scan-start node: exactly
 // the type's instance count, narrowed by a seed subgraph, loosened down
-// to zero by a step condition.
+// to zero by a step condition; a key seek selects at most one vertex.
 func nodeInterval(m *matcher, nodeCond []expr.Expr, node int) plan.Interval {
 	count := float64(m.nodeType[node].Count())
 	iv := plan.Exact(count)
 	if s := m.seeds[node]; s != nil {
 		iv = plan.UpTo(math.Min(count, float64(s.Count())))
+	}
+	if m.seek[node] != nil {
+		return plan.UpTo(math.Min(1, iv.Max))
 	}
 	if nodeCond[node] != nil {
 		iv = iv.Filter()

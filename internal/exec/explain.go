@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"graql/internal/ast"
+	"graql/internal/expr"
 	"graql/internal/graph"
 	"graql/internal/plan"
 	"graql/internal/sema"
@@ -39,7 +40,7 @@ func (e *Engine) runExplain(s *sema.Select, params map[string]value.Value) (Resu
 	var iv plan.Interval
 	var err error
 	if s.Table != nil {
-		iv, err = e.explainTableSelect(s, add)
+		iv, err = e.explainTableSelect(s, params, add)
 	} else {
 		iv, err = e.explainGraphSelect(s, params, add)
 	}
@@ -84,9 +85,17 @@ func (e *Engine) runExplain(s *sema.Select, params map[string]value.Value) (Resu
 	return Result{Kind: ResultTable, Table: out}, nil
 }
 
-func (e *Engine) explainTableSelect(s *sema.Select, add func(string, string, string, ...any) error) (plan.Interval, error) {
+func (e *Engine) explainTableSelect(s *sema.Select, params map[string]value.Value, add func(string, string, string, ...any) error) (plan.Interval, error) {
 	iv := plan.Exact(float64(s.Table.NumRows()))
-	if err := add(iv.String(), "scan", "table %s (%d rows)", s.Table.Name, s.Table.NumRows()); err != nil {
+	// Unbound parameters leave the where clause unseekable: the plan
+	// describes a seek only when the bindings are known.
+	where, _ := expr.BindParams(s.Where, params)
+	if ks, ok := tableSeek(where, s.Table); ok {
+		iv = plan.UpTo(iv.Max)
+		if err := add(iv.String(), "seek", "table %s (%d rows) on %s", s.Table.Name, s.Table.NumRows(), ks.cond); err != nil {
+			return iv, err
+		}
+	} else if err := add(iv.String(), "scan", "table %s (%d rows)", s.Table.Name, s.Table.NumRows()); err != nil {
 		return iv, err
 	}
 	if s.Where != nil {
@@ -149,7 +158,11 @@ func (e *Engine) explainGraphSelect(s *sema.Select, params map[string]value.Valu
 			for i, v := range m.order {
 				name := stepName(pat, nt, v.Node)
 				if v.Via < 0 {
-					if err := add(ivs[i].String(), "scan", "start at %s (est. %.0f candidates)", name, est.NodeCount(v.Node)); err != nil {
+					action, access := "scan", ""
+					if ks := m.seek[v.Node]; ks != nil {
+						action, access = "seek", fmt.Sprintf(" by key %s", ks.cond)
+					}
+					if err := add(ivs[i].String(), action, "start at %s%s (est. %.0f candidates)", name, access, est.NodeCount(v.Node)); err != nil {
 						return err
 					}
 					continue

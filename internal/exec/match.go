@@ -37,6 +37,9 @@ type matcher struct {
 
 	// seeds restricts a node's candidates to a prior subgraph result.
 	seeds []*bitmap.Bitmap
+	// seek[i] is node i's key seek when its self condition has one
+	// (seek.go): the node's candidates come from a key lookup, not a scan.
+	seek []*keySeek
 
 	order     []plan.Visit
 	posOfNode []int
@@ -164,6 +167,13 @@ func (e *Engine) newMatcher(pat *sema.Pattern, nodeType []*graph.VertexType,
 		}
 	}
 
+	m.seek = make([]*keySeek, len(pat.Nodes))
+	for i := range pat.Nodes {
+		if ks, ok := vertexSeek(m.nodeSelf[i], i, nodeType[i]); ok {
+			m.seek[i] = &ks
+		}
+	}
+
 	// Verification edges: every pattern edge that is not a Via edge gets
 	// checked at the depth its later endpoint is bound.
 	used := make([]bool, len(pat.Edges))
@@ -196,7 +206,11 @@ func (m *matcher) buildSpans() {
 	for i, v := range m.order {
 		name := stepName(m.pat, m.nodeType, v.Node)
 		if v.Via < 0 {
-			m.spans[i] = m.e.opSpan("scan", fmt.Sprintf("start at %s", name))
+			if ks := m.seek[v.Node]; ks != nil {
+				m.spans[i] = m.e.opSpan("seek", fmt.Sprintf("start at %s by key %s", name, ks.cond))
+			} else {
+				m.spans[i] = m.e.opSpan("scan", fmt.Sprintf("start at %s", name))
+			}
 			continue
 		}
 		pe := m.pat.Edges[v.Via]
@@ -257,11 +271,50 @@ func refSourcesOf(e expr.Expr) []int {
 
 // candidates returns (building on first use) the candidate bitmap for a
 // node: vertices of its type satisfying the self condition and the seed
-// restriction. The scan is data-parallel over the id space.
+// restriction. A key seek looks up the one vertex its key can select;
+// any other condition scans the type.
 func (m *matcher) candidates(node int) (*bitmap.Bitmap, error) {
 	if m.cands[node] != nil {
 		return m.cands[node], nil
 	}
+	var bm *bitmap.Bitmap
+	var err error
+	if ks := m.seek[node]; ks != nil {
+		bm, err = m.seekCandidates(node, ks)
+	} else {
+		bm, err = m.scanCandidates(node)
+	}
+	if err != nil {
+		return nil, err
+	}
+	m.cands[node] = bm
+	return bm, nil
+}
+
+// seekCandidates finds the vertex with the seek's key, then applies the
+// seed and the full self condition to it.
+func (m *matcher) seekCandidates(node int, ks *keySeek) (*bitmap.Bitmap, error) {
+	vt := m.nodeType[node]
+	bm := bitmap.New(vt.Count())
+	v, found := vt.LookupKeyValues([]value.Value{ks.val})
+	if !found {
+		return bm, nil
+	}
+	w := &wstate{m: m, b: make([]uint32, len(m.pat.Nodes)+len(m.pat.Edges)), scanned: 1}
+	ok, err := m.nodeOK(w, node, v)
+	m.flush(w)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		bm.Set(v)
+	}
+	return bm, nil
+}
+
+// scanCandidates evaluates the seed and self condition on every vertex
+// of the node's type, data-parallel over the id space.
+func (m *matcher) scanCandidates(node int) (*bitmap.Bitmap, error) {
 	vt := m.nodeType[node]
 	n := vt.Count()
 	bm := bitmap.New(n)
@@ -297,7 +350,6 @@ func (m *matcher) candidates(node int) (*bitmap.Bitmap, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.cands[node] = bm
 	return bm, nil
 }
 

@@ -250,7 +250,7 @@ func (e *Engine) planIdentity(st ast.Stmt) (uint64, string) {
 	if a := e.acct; a != nil {
 		return a.fp, a.script
 	}
-	raw := e.stmtSrc(st)
+	raw := e.stmtSrc(st, "")
 	fp, _ := e.met.reg.FingerprintCached(raw)
 	return fp, raw
 }

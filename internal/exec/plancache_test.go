@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"graql/internal/ast"
+	"graql/internal/ir"
 )
 
 // planCacheEngine builds an engine with the given plan-cache capacity
@@ -77,6 +80,35 @@ func TestPlanCacheLiteralVariantsOwnEntries(t *testing.T) {
 	hits, _, _, _ := e.PlanCacheStats()
 	if hits != 2 {
 		t.Errorf("hits = %d, want 2", hits)
+	}
+}
+
+// IR-decoded statements carry no source text, so the cache keys them on
+// their rendering: an integer and an integral float literal must render
+// apart, or n / 2.0 would be served the integer-division plan of n / 2.
+func TestPlanCacheIntAndFloatLiteralsOwnEntries(t *testing.T) {
+	e := planCacheEngine(t, 0)
+	run := func(q string) string {
+		t.Helper()
+		blob, err := ir.Encode(&ast.Script{Stmts: []ast.Stmt{mustParseStmt(t, q)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		script, err := e.DecodeIR(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.ExecStmt(script.Stmts[0], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Table.Value(0, 0).String()
+	}
+	if got := run(`select id / 2 as h from table Items where id = 3`); got != "1" {
+		t.Errorf("id / 2 = %s, want 1", got)
+	}
+	if got := run(`select id / 2.0 as h from table Items where id = 3`); got != "1.5" {
+		t.Errorf("id / 2.0 after id / 2 = %s, want 1.5", got)
 	}
 }
 

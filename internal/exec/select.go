@@ -66,26 +66,57 @@ func astAggToTable(f ast.AggFunc) table.AggFunc {
 
 func (e *Engine) runTableSelect(s *sema.Select, params map[string]value.Value) (Result, error) {
 	t := s.Table
-	e.opSpan("scan", fmt.Sprintf("table %s", t.Name)).Record(int64(t.NumRows()), 0)
+	var where expr.Expr
+	if s.Where != nil {
+		bound, err := expr.BindParams(s.Where, params)
+		if err != nil {
+			return Result{}, err
+		}
+		where = bound
+	}
+
+	// Access: a seek reads only the rows the where clause's leading key
+	// equality can select (seek.go); anything else scans every row.
+	tp := e.tablePar()
+	t0 := time.Now()
+	examined := t.NumRows()
+	ks, seek := tableSeek(where, t)
+	var cand []uint32
+	if seek {
+		cand = t.SeekEq(ks.col, ks.val)
+		examined = len(cand)
+	}
+	e.noteScanned(int64(examined))
+	if e.tracing() {
+		if seek {
+			e.opSpan("seek", fmt.Sprintf("table %s on %s", t.Name, ks.cond)).Record(int64(examined), 0)
+		} else {
+			e.opSpan("scan", fmt.Sprintf("table %s", t.Name)).Record(int64(examined), 0)
+		}
+	}
 
 	// Selection.
-	tp := e.tablePar()
 	rows := t
-	if s.Where != nil {
-		where, err := expr.BindParams(s.Where, params)
-		if err != nil {
-			return Result{}, err
-		}
-		t0 := time.Now()
-		filtered, err := table.FilterPar(t, t.Name, func(r uint32) (bool, error) {
+	if where != nil {
+		pred := func(r uint32) (bool, error) {
 			return evalBool(where, singleTableEnv{t: t, row: r})
-		}, tp)
+		}
+		var idx []uint32
+		var err error
+		if seek {
+			idx, err = table.FilterRowsPar(cand, pred, tp)
+		} else {
+			idx, err = table.FilterIdxPar(t, pred, tp)
+		}
 		if err != nil {
 			return Result{}, err
 		}
-		rows = filtered
-		e.opSpan("filter", parDetail(fmt.Sprintf("%s", s.Where), tp, t.NumRows())).
-			Record(int64(rows.NumRows()), time.Since(t0))
+		rows = t.Gather(t.Name, idx)
+		if e.tracing() {
+			elapsed := time.Since(t0) // before rendering the label
+			e.opSpan("filter", parDetail(s.Where.String(), tp, examined)).
+				Record(int64(rows.NumRows()), elapsed)
+		}
 	}
 	opStart := time.Now()
 

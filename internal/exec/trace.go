@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"graql/internal/ast"
 	"graql/internal/obs"
 )
 
@@ -74,10 +73,9 @@ func (e *Engine) runSweep(detail string, shards, workers int, fn func(shard int)
 	return err
 }
 
-// stmtDetail renders a statement for span labels, truncated so trace
-// payloads stay bounded.
-func stmtDetail(st ast.Stmt) string {
-	s := st.String()
+// stmtDetail cuts a statement rendering to a span label, truncated so
+// trace payloads stay bounded.
+func stmtDetail(s string) string {
 	if len(s) > 120 {
 		s = s[:117] + "..."
 	}

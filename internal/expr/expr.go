@@ -182,6 +182,13 @@ func (c *Const) String() string {
 		// Render the explicit date-literal form so the output re-parses
 		// as a date (a bare quoted string would round-trip as varchar).
 		return "date '" + c.V.String() + "'"
+	case value.KindFloat:
+		// An integral float needs its point to re-parse as a float:
+		// rendered "2", 2.0 would come back as an integer, and a plan
+		// cached under the rendering of n / 2 would serve n / 2.0.
+		if s := c.V.String(); !strings.ContainsAny(s, ".eEIN") {
+			return s + ".0"
+		}
 	}
 	return c.V.String()
 }
@@ -315,12 +322,7 @@ func (u *Unary) Check(env TypeEnv) (value.Type, error) {
 	return value.Invalid, fmt.Errorf("graql: bad unary operator %v", u.Op)
 }
 
-func (u *Unary) String() string {
-	if u.Op == OpNot {
-		return "not " + u.X.String()
-	}
-	return "-" + u.X.String()
-}
+func (u *Unary) String() string { return render(u) }
 
 // Binary applies a binary operator.
 type Binary struct {
@@ -524,11 +526,40 @@ func (b *Binary) Check(env TypeEnv) (value.Type, error) {
 	return value.Invalid, fmt.Errorf("graql: bad binary operator %v", b.Op)
 }
 
-func (b *Binary) String() string {
-	switch {
-	case b.Op == OpAnd || b.Op == OpOr:
-		return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
+func (b *Binary) String() string { return render(b) }
+
+// render renders an operator tree into one builder. Rendering each node
+// into its own string and splicing it into the parent's copies every
+// subtree once per ancestor — quadratic in the depth of an and-chain.
+func render(e Expr) string {
+	var sb strings.Builder
+	writeExpr(&sb, e)
+	return sb.String()
+}
+
+func writeExpr(sb *strings.Builder, e Expr) {
+	switch n := e.(type) {
+	case *Binary:
+		logical := n.Op == OpAnd || n.Op == OpOr
+		if logical {
+			sb.WriteByte('(')
+		}
+		writeExpr(sb, n.L)
+		sb.WriteByte(' ')
+		sb.WriteString(n.Op.String())
+		sb.WriteByte(' ')
+		writeExpr(sb, n.R)
+		if logical {
+			sb.WriteByte(')')
+		}
+	case *Unary:
+		if n.Op == OpNot {
+			sb.WriteString("not ")
+		} else {
+			sb.WriteByte('-')
+		}
+		writeExpr(sb, n.X)
 	default:
-		return fmt.Sprintf("%s %s %s", b.L, b.Op, b.R)
+		sb.WriteString(e.String())
 	}
 }

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -118,5 +119,41 @@ func TestCheckedExprNeverTypeErrors(t *testing.T) {
 	// towards all-ill-typed trees would pass vacuously.
 	if checked < 1000 || evaled < 500 {
 		t.Fatalf("corpus too thin: %d trees checked, %d evaluated", checked, evaled)
+	}
+}
+
+// sprintfString is the per-node fmt.Sprintf rendering String replaced;
+// rendering into one builder must stay byte-identical to it.
+func sprintfString(e Expr) string {
+	switch n := e.(type) {
+	case *Binary:
+		if n.Op == OpAnd || n.Op == OpOr {
+			return fmt.Sprintf("(%s %s %s)", sprintfString(n.L), n.Op, sprintfString(n.R))
+		}
+		return fmt.Sprintf("%s %s %s", sprintfString(n.L), n.Op, sprintfString(n.R))
+	case *Unary:
+		if n.Op == OpNot {
+			return "not " + sprintfString(n.X)
+		}
+		return "-" + sprintfString(n.X)
+	}
+	return e.String()
+}
+
+func TestStringMatchesPerNodeRendering(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		e := genExpr(r, 6)
+		if got, want := e.String(), sprintfString(e); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+	}
+	// A long left-deep and-chain, the shape of generated guard clauses.
+	var chain Expr = NewConst(value.NewBool(true))
+	for i := 0; i < 200; i++ {
+		chain = NewBinary(OpAnd, chain, NewBinary(OpNe, NewConst(value.NewString("a'b")), &Param{Name: fmt.Sprint("P", i)}))
+	}
+	if got, want := chain.String(), sprintfString(chain); got != want {
+		t.Fatalf("and-chain rendering differs:\n%s\n%s", got, want)
 	}
 }

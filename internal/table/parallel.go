@@ -172,9 +172,21 @@ func morselRanges(n int) [][2]uint32 {
 // are stitched in morsel order, so the result is the exact row-id
 // sequence of the serial scan.
 func FilterIdxPar(t *Table, pred Pred, p Par) ([]uint32, error) {
-	n := t.NumRows()
+	return filterIdx(t.NumRows(), nil, pred, p)
+}
+
+// FilterRowsPar is FilterIdxPar over the ascending row ids in rows
+// instead of every row: the scan kernel applied to an index seek's
+// candidates.
+func FilterRowsPar(rows []uint32, pred Pred, p Par) ([]uint32, error) {
+	return filterIdx(len(rows), rows, pred, p)
+}
+
+// filterIdx evaluates pred over n rows — rows[i] when rows is non-nil,
+// else row i — keeping the passing row ids in order.
+func filterIdx(n int, rows []uint32, pred Pred, p Par) ([]uint32, error) {
 	if !p.Parallel(n) {
-		return filterIdxSerial(t, pred, p)
+		return filterIdxSerial(n, rows, pred, p)
 	}
 	morsels := morselRanges(n)
 	bufs := make([][]uint32, len(morsels))
@@ -182,9 +194,13 @@ func FilterIdxPar(t *Table, pred Pred, p Par) ([]uint32, error) {
 		lo, hi := morsels[m][0], morsels[m][1]
 		var buf []uint32
 		tick := 0
-		for r := lo; r < hi; r++ {
+		for i := lo; i < hi; i++ {
 			if err := p.poll(&tick); err != nil {
 				return err
+			}
+			r := i
+			if rows != nil {
+				r = rows[i]
 			}
 			ok, err := pred(r)
 			if err != nil {
@@ -214,14 +230,18 @@ func FilterIdxPar(t *Table, pred Pred, p Par) ([]uint32, error) {
 	return idx, nil
 }
 
-// filterIdxSerial is the serial fallback of FilterIdxPar; identical to
+// filterIdxSerial is the serial fallback of filterIdx; identical to
 // FilterIdx plus the cooperative poll.
-func filterIdxSerial(t *Table, pred Pred, p Par) ([]uint32, error) {
+func filterIdxSerial(n int, rows []uint32, pred Pred, p Par) ([]uint32, error) {
 	var idx []uint32
 	tick := 0
-	for r := uint32(0); r < uint32(t.NumRows()); r++ {
+	for i := uint32(0); i < uint32(n); i++ {
 		if err := p.poll(&tick); err != nil {
 			return nil, err
+		}
+		r := i
+		if rows != nil {
+			r = rows[i]
 		}
 		ok, err := pred(r)
 		if err != nil {
@@ -232,15 +252,6 @@ func filterIdxSerial(t *Table, pred Pred, p Par) ([]uint32, error) {
 		}
 	}
 	return idx, nil
-}
-
-// FilterPar is Filter on the parallel scan path.
-func FilterPar(t *Table, name string, pred Pred, p Par) (*Table, error) {
-	idx, err := FilterIdxPar(t, pred, p)
-	if err != nil {
-		return nil, err
-	}
-	return t.Gather(name, idx), nil
 }
 
 // GroupByPar is GroupBy with parallel partial aggregation: every worker

@@ -13,7 +13,7 @@ import (
 )
 
 // TestWebAuthToken checks a token server guards every pipeline route
-// over HTTP with the "Authorization: Bearer" header, while the health
+// (and /vet) over HTTP with the "Authorization: Bearer" header, while the health
 // and metrics probes stay open.
 func TestWebAuthToken(t *testing.T) {
 	ts := httptest.NewServer(web.New(server.New(citiesEngine(t, exec.DefaultOptions()), "sek")))
@@ -42,6 +42,7 @@ func TestWebAuthToken(t *testing.T) {
 		{"POST", "/query", query},
 		{"POST", "/prepare", query},
 		{"POST", "/execute", `{"stmt": "s1"}`},
+		{"POST", "/vet", query},
 		{"GET", "/catalog", ""},
 		{"DELETE", "/debug/queries/1", ""},
 	}
@@ -60,6 +61,10 @@ func TestWebAuthToken(t *testing.T) {
 	}
 	if status, body := send("GET", "/catalog", "Bearer sek", ""); status != http.StatusOK || !strings.Contains(body, `"Cities"`) {
 		t.Errorf("authorized /catalog: %d %s", status, body)
+	}
+	const vet = `{"script": "create table T(id varchar(8))\nselect id from table T"}`
+	if status, body := send("POST", "/vet", "Bearer sek", vet); status != http.StatusOK || !strings.Contains(body, `"ok":true`) || !strings.Contains(body, `"diagnostics":[]`) {
+		t.Errorf("authorized /vet: %d %s", status, body)
 	}
 	for _, path := range []string{"/healthz", "/readyz", "/metrics"} {
 		if status, body := send("GET", path, "", ""); status != http.StatusOK {

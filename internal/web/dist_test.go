@@ -116,7 +116,8 @@ func TestWorkersEndpointAndDegradedReadyz(t *testing.T) {
 }
 
 // TestWebVet covers the POST /vet static-analysis endpoint: a clean
-// script, a script with a diagnostic, and a malformed request body.
+// script, a script with a diagnostic, a malformed request body, and an
+// empty script, which the request pipeline refuses before analysis.
 func TestWebVet(t *testing.T) {
 	ts, _ := testServer(t)
 	post := func(body string) (int, map[string]any) {
@@ -146,5 +147,9 @@ func TestWebVet(t *testing.T) {
 	}
 	if code, out = post(`{not json`); code != http.StatusBadRequest {
 		t.Fatalf("malformed body must be 400, got %d %v", code, out)
+	}
+	code, out = post(`{"script": ""}`)
+	if code != http.StatusOK || out["ok"] != false || out["code"] != "parse" || out["error"] != "empty script" {
+		t.Fatalf("empty script must get the pipeline's parse failure, got %d %v", code, out)
 	}
 }

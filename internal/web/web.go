@@ -23,9 +23,10 @@ import (
 )
 
 // Handler serves the GEMS web front-end for one server. The pipeline
-// routes (/query, /prepare, /execute, /catalog and the query-cancel
-// route) are a thin codec over server.Server.Do, so authentication,
-// admission, deadlines, tracing and error codes are the TCP wire's.
+// routes (/query, /prepare, /execute, /vet, /catalog and the
+// query-cancel route) are a thin codec over server.Server.Do, so
+// authentication, admission, deadlines, tracing and error codes are the
+// TCP wire's.
 type Handler struct {
 	srv *server.Server
 	eng *exec.Engine
@@ -311,14 +312,21 @@ type vetResponse struct {
 }
 
 // vet runs the full static-analysis front-end — multi-error recovery
-// and the lint tier — over a self-contained script and reports every
-// finding with its stable code and line:col position.
+// and the lint tier — over a self-contained script (pipeline op "check")
+// and reports every finding with its stable code and line:col position.
+// A request the pipeline refuses before analysis (a missing token, an
+// empty script) gets the pipeline's response.
 func (h *Handler) vet(w http.ResponseWriter, r *http.Request) {
 	var req server.Request
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	diags := h.eng.VetScript(req.Script)
+	resp := h.do(r, &req, "check")
+	if !resp.OK && len(resp.Diagnostics) == 0 {
+		writeJSON(w, statusOf(w, resp), resp)
+		return
+	}
+	diags := resp.Diagnostics
 	nerr := len(diags.Errors())
 	if diags == nil {
 		diags = diag.List{} // keep the field a JSON array
