@@ -118,6 +118,7 @@ go test -run='^$' -fuzz='^FuzzAnalyze$' -fuzztime="$FUZZTIME" ./internal/sema
 go test -run='^$' -fuzz='^FuzzWALDecode$' -fuzztime="$FUZZTIME" ./internal/storage
 go test -run='^$' -fuzz='^FuzzFingerprint$' -fuzztime="$FUZZTIME" ./internal/obs
 go test -run='^$' -fuzz='^FuzzKeySeek$' -fuzztime="$FUZZTIME" ./internal/exec
+go test -run='^$' -fuzz='^FuzzTextTemplate$' -fuzztime="$FUZZTIME" ./internal/server
 
 echo "== graql vet gate =="
 # The shipped example scripts must vet clean (exit 0), and the seeded

@@ -16,9 +16,7 @@ import (
 // into the statement's event. It travels on the engine's shallow fork, so nested
 // helpers reach it as e.acct without plumbing.
 type stmtAcct struct {
-	fp        uint64
-	text      string // fingerprint-normalized statement text
-	script    string // canonical statement rendering (st.String(), computed once)
+	stmtIdent
 	queueWait time.Duration
 	planHit   bool // the statement's plan came from the plan cache
 

@@ -158,6 +158,9 @@ type Engine struct {
 	// plans is the fingerprint-keyed LRU of analyzed read-only selects,
 	// shared across every fork (nil when Options.PlanCache < 0).
 	plans *planCache
+	// templates caches text templates (template.go); it exists exactly
+	// when plans does and is shared the same way.
+	templates *templateCache
 
 	// store is the attached durability layer (nil runs in-memory only).
 	// replay is true while recovery replays the snapshot and WAL tail; it
@@ -168,9 +171,10 @@ type Engine struct {
 
 // New returns an engine over a fresh catalog.
 func New(opts Options) *Engine {
+	plans := newPlanCache(opts.PlanCache, opts.Obs)
 	return &Engine{
 		Cat: catalog.New(), Opts: opts, met: newEngineMetrics(opts.Obs),
-		ids: &idAlloc{}, plans: newPlanCache(opts.PlanCache, opts.Obs),
+		ids: &idAlloc{}, plans: plans, templates: newTemplateCache(plans, opts.Obs),
 	}
 }
 
@@ -244,6 +248,11 @@ type stmtIdent struct {
 	fp     uint64
 	norm   string // fingerprint-normalized text
 	script string // canonical statement rendering
+	// tmpl and slots are set for a statement run from a text template
+	// (template.go): script then shows slot placeholders, and slots are
+	// the request's values for them.
+	tmpl  *tmplStmt
+	slots []value.Value
 }
 
 // execStmtID is ExecStmt with an optional precomputed identity.
@@ -255,7 +264,7 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 			// precomputed identity: carry it on an accounting record of a
 			// private fork (nothing else reads it without a registry).
 			c := *e
-			c.acct = &stmtAcct{fp: id.fp, text: id.norm, script: id.script}
+			c.acct = &stmtAcct{stmtIdent: *id}
 			run = &c
 		}
 		return run.execStmt(st, params)
@@ -267,8 +276,14 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 	// rendering.
 	var rendered string
 	if e.trace != nil {
-		rendered = st.String()
-		sp = e.opSpan("statement", stmtDetail(rendered))
+		label := ""
+		if id != nil {
+			label = id.script
+		} else {
+			rendered = st.String()
+			label = rendered
+		}
+		sp = e.opSpan("statement", stmtDetail(label))
 		sp.SetAttr("kind", stmtKind(st))
 		run = e.fork(e.trace, sp)
 	}
@@ -278,15 +293,13 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 	var acct *stmtAcct
 	var cancel context.CancelFunc
 	if e.met.reg != nil && !e.Opts.DisableStmtObs {
-		var fp uint64
-		var text, script string
 		if id != nil {
-			fp, text, script = id.fp, id.norm, id.script
+			acct = &stmtAcct{stmtIdent: *id}
 		} else {
-			script = e.stmtSrc(st, rendered)
-			fp, text = e.met.reg.FingerprintCached(script)
+			script := e.stmtSrc(st, rendered)
+			fp, norm := e.met.reg.FingerprintCached(script)
+			acct = &stmtAcct{stmtIdent: stmtIdent{fp: fp, norm: norm, script: script}}
 		}
-		acct = &stmtAcct{fp: fp, text: text, script: script}
 		base := e.ctx
 		if base == nil {
 			base = context.Background()
@@ -300,7 +313,7 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 		}
 		run.ctx = cctx
 		run.acct = acct
-		acct.live = e.met.reg.StartQuery(fp, text, e.traceID(), cancel)
+		acct.live = e.met.reg.StartQuery(acct.fp, acct.norm, e.traceID(), cancel)
 	} else if id != nil && e.plans != nil {
 		// Statement observability is disabled but the plan cache still
 		// keys on the prepared identity.
@@ -308,7 +321,7 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 			c := *e
 			run = &c
 		}
-		run.acct = &stmtAcct{fp: id.fp, text: id.norm, script: id.script}
+		run.acct = &stmtAcct{stmtIdent: *id}
 	}
 	start := time.Now()
 	res, err := run.execStmt(st, params)
@@ -316,6 +329,14 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 	if cancel != nil {
 		acct.live.Finish()
 		cancel()
+	}
+	if errors.Is(err, ErrTemplateStale) {
+		// Nothing ran: the caller re-runs the statement from its text.
+		if sp != nil {
+			sp.SetAttr("template", "stale")
+			sp.End()
+		}
+		return res, err
 	}
 	var rows int64
 	switch {

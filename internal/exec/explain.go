@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"graql/internal/ast"
-	"graql/internal/expr"
 	"graql/internal/graph"
 	"graql/internal/plan"
 	"graql/internal/sema"
@@ -89,7 +88,7 @@ func (e *Engine) explainTableSelect(s *sema.Select, params map[string]value.Valu
 	iv := plan.Exact(float64(s.Table.NumRows()))
 	// Unbound parameters leave the where clause unseekable: the plan
 	// describes a seek only when the bindings are known.
-	where, _ := expr.BindParams(s.Where, params)
+	where, _ := e.bindCond(s.Where, params)
 	if ks, ok := tableSeek(where, s.Table); ok {
 		iv = plan.UpTo(iv.Max)
 		if err := add(iv.String(), "seek", "table %s (%d rows) on %s", s.Table.Name, s.Table.NumRows(), ks.cond); err != nil {

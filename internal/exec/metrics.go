@@ -179,12 +179,18 @@ func (m *engineMetrics) observeStmt(st ast.Stmt, a *stmtAcct, elapsed time.Durat
 		Rows:        rows,
 		Trace:       trace,
 		Fingerprint: a.fp,
-		Text:        a.text,
+		Text:        a.norm,
 		QueueWait:   a.queueWait,
 		PlanHit:     a.planHit,
 		RowsScanned: a.rowsScanned.Load(),
 		WALBytes:    a.walBytes.Load(),
 		Workers:     int(a.workers.Load()),
+	}
+	if a.tmpl != nil {
+		// A template statement's rendering shows slot placeholders; the
+		// slow log wants the request's literals, rendered only for an
+		// entry it keeps.
+		ev.Script, ev.RenderScript = "", a.literalScript
 	}
 	m.reg.ObserveStmtEvent(ev)
 }

@@ -209,6 +209,9 @@ func (e *Engine) planSelect(sel *ast.Select) (*sema.Select, error) {
 	}
 	fp, raw := e.planIdentity(sel)
 	epoch := e.Cat.Epoch()
+	if a := e.acct; a != nil && a.tmpl != nil && a.tmpl.epoch != epoch {
+		return nil, ErrTemplateStale
+	}
 	if cached := e.plans.get(fp, raw, epoch); cached != nil {
 		// A cached plan outlives the statement that built it, so verify on
 		// the hit path too: a corruption bug anywhere in cache invalidation

@@ -100,19 +100,27 @@ func (e *Engine) prepareIR(blob []byte) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(decoded.Stmts) == 0 {
+	return e.prepareDecoded(blob, decoded.Stmts, nil)
+}
+
+// prepareDecoded builds a handle over statements decoded from blob. ids
+// gives their observability identities; nil derives each from the
+// statement's rendering.
+func (e *Engine) prepareDecoded(blob []byte, stmts []ast.Stmt, ids []stmtIdent) (*Prepared, error) {
+	if len(stmts) == 0 {
 		return nil, fmt.Errorf("graql: cannot prepare an empty script")
 	}
-	p := &Prepared{
-		blob:  blob,
-		stmts: decoded.Stmts,
-		ids:   make([]stmtIdent, len(decoded.Stmts)),
-		ro:    true,
+	p := &Prepared{blob: blob, stmts: stmts, ids: ids, ro: true}
+	if ids == nil {
+		p.ids = make([]stmtIdent, len(stmts))
 	}
-	for i, st := range decoded.Stmts {
-		script := st.String()
-		fp, norm := e.met.reg.FingerprintCached(script)
-		p.ids[i] = stmtIdent{fp: fp, norm: norm, script: script}
+	for i, st := range stmts {
+		if ids == nil {
+			script := st.String()
+			fp, norm := e.met.reg.FingerprintCached(script)
+			p.ids[i] = stmtIdent{fp: fp, norm: norm, script: script}
+		}
+		script := p.ids[i].script
 		if p.text != "" {
 			p.text += "\n"
 		}
@@ -142,7 +150,7 @@ func (e *Engine) prepareIR(blob []byte) (*Prepared, error) {
 				continue
 			}
 			if run != e {
-				run.acct = &stmtAcct{fp: p.ids[i].fp, text: p.ids[i].norm, script: p.ids[i].script}
+				run.acct = &stmtAcct{stmtIdent: p.ids[i]}
 			}
 			if _, err := run.planSelect(sel); err != nil {
 				return nil, fmt.Errorf("statement %d: %w", i+1, err)
@@ -171,6 +179,13 @@ func (e *Engine) ExecPrepared(p *Prepared, params map[string]value.Value) ([]Res
 
 // ExecPreparedContext is ExecPrepared bound to ctx.
 func (e *Engine) ExecPreparedContext(ctx context.Context, p *Prepared, params map[string]value.Value) ([]Result, error) {
+	return e.execPrepared(ctx, p, params, nil)
+}
+
+// execPrepared runs a prepared script's statements in order, stopping at
+// the first failure with the results of the statements before it. slots
+// are a text template hit's slot values (nil for a prepared handle).
+func (e *Engine) execPrepared(ctx context.Context, p *Prepared, params map[string]value.Value, slots []value.Value) ([]Result, error) {
 	run := e.WithContext(ctx)
 	out := make([]Result, 0, len(p.stmts))
 	for i, st := range p.stmts {
@@ -178,6 +193,7 @@ func (e *Engine) ExecPreparedContext(ctx context.Context, p *Prepared, params ma
 			return out, fmt.Errorf("statement %d: %w", i+1, err)
 		}
 		id := p.ids[i]
+		id.slots = slots
 		r, err := run.execStmtID(st, params, &id)
 		if err != nil {
 			return out, fmt.Errorf("statement %d: %w", i+1, err)

@@ -64,11 +64,34 @@ func astAggToTable(f ast.AggFunc) table.AggFunc {
 	panic("graql: not an aggregate")
 }
 
+// bindCond binds a condition's parameters for execution: the request's
+// %name% parameters and, for a text template statement, its slots. With
+// folding on (the analyzer's default) the bound condition is folded as
+// analysis folds literals, and one that folds to true is dropped as
+// analysis drops it. A statement then runs the same condition whether its
+// constants were written as literals or bound as parameters, so text
+// templates (template.go) and prepared statements plan and seek exactly
+// like their literal spellings: graph plans are ordered by the shape of
+// their conditions.
+func (e *Engine) bindCond(c expr.Expr, params map[string]value.Value) (expr.Expr, error) {
+	if c == nil {
+		return nil, nil
+	}
+	b, err := expr.Bind(c, e.paramLookup(params), !e.Opts.NoFold)
+	if err != nil {
+		return nil, err
+	}
+	if k, ok := b.(*expr.Const); ok && k.V.Kind() == value.KindBool && !k.V.IsNull() && k.V.Bool() {
+		return nil, nil
+	}
+	return b, nil
+}
+
 func (e *Engine) runTableSelect(s *sema.Select, params map[string]value.Value) (Result, error) {
 	t := s.Table
 	var where expr.Expr
 	if s.Where != nil {
-		bound, err := expr.BindParams(s.Where, params)
+		bound, err := e.bindCond(s.Where, params)
 		if err != nil {
 			return Result{}, err
 		}
@@ -114,7 +137,7 @@ func (e *Engine) runTableSelect(s *sema.Select, params map[string]value.Value) (
 		rows = t.Gather(t.Name, idx)
 		if e.tracing() {
 			elapsed := time.Since(t0) // before rendering the label
-			e.opSpan("filter", parDetail(s.Where.String(), tp, examined)).
+			e.opSpan("filter", parDetail(s.WhereString(), tp, examined)).
 				Record(int64(rows.NumRows()), elapsed)
 		}
 	}
@@ -248,14 +271,14 @@ func (e *Engine) prepareAlt(alt *sema.GraphAlt, params map[string]value.Value) (
 	p.nodeCond = make([]expr.Expr, len(pat.Nodes))
 	p.edgeCond = make([]expr.Expr, len(pat.Edges))
 	for i, n := range pat.Nodes {
-		c, err := expr.BindParams(n.Cond, params)
+		c, err := e.bindCond(n.Cond, params)
 		if err != nil {
 			return nil, err
 		}
 		p.nodeCond[i] = c
 	}
 	for i, pe := range pat.Edges {
-		c, err := expr.BindParams(pe.Cond, params)
+		c, err := e.bindCond(pe.Cond, params)
 		if err != nil {
 			return nil, err
 		}

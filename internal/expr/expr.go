@@ -391,8 +391,14 @@ func (b *Binary) Eval(env Env) (value.Value, error) {
 	if err != nil {
 		return value.Value{}, err
 	}
+	return evalOperands(b.Op, l, r)
+}
+
+// evalOperands applies a comparison or arithmetic operator to evaluated
+// operands.
+func evalOperands(op Op, l, r value.Value) (value.Value, error) {
 	switch {
-	case b.Op.Comparison():
+	case op.Comparison():
 		if l.IsNull() || r.IsNull() {
 			return value.NewNull(value.KindBool), nil
 		}
@@ -400,7 +406,7 @@ func (b *Binary) Eval(env Env) (value.Value, error) {
 		if err != nil {
 			return value.Value{}, err
 		}
-		switch b.Op {
+		switch op {
 		case OpEq:
 			return value.NewBool(c == 0), nil
 		case OpNe:
@@ -414,10 +420,10 @@ func (b *Binary) Eval(env Env) (value.Value, error) {
 		case OpGe:
 			return value.NewBool(c >= 0), nil
 		}
-	case b.Op.Arith():
-		return evalArith(b.Op, l, r)
+	case op.Arith():
+		return evalArith(op, l, r)
 	}
-	return value.Value{}, fmt.Errorf("graql: bad binary operator %v", b.Op)
+	return value.Value{}, fmt.Errorf("graql: bad binary operator %v", op)
 }
 
 func evalArith(op Op, l, r value.Value) (value.Value, error) {

@@ -44,30 +44,109 @@ func Walk(e Expr, f func(Expr)) {
 
 // BindParams substitutes %name% parameters with the given values. A
 // parameter with no binding is an error (the paper's queries are templates;
-// execution needs concrete values).
+// execution needs concrete values). Subtrees without parameters are
+// shared with e, not copied: evaluation never mutates an expression.
 func BindParams(e Expr, params map[string]value.Value) (Expr, error) {
+	return Bind(e, func(name string) (value.Value, bool) {
+		v, ok := params[name]
+		return v, ok
+	}, false)
+}
+
+// Bind is BindParams with parameters resolved by lookup. With fold set it
+// also folds, as Fold does, every node binding changes: subtrees that
+// become constant only once their parameters are bound fold exactly as
+// literal subtrees fold at analysis, so an analyzed condition run with
+// bound parameters is the one its literal spelling would run.
+func Bind(e Expr, lookup func(name string) (value.Value, bool), fold bool) (Expr, error) {
 	if e == nil {
 		return nil, nil
 	}
-	var missing string
-	out := Rewrite(e, func(n Expr) Expr {
-		p, ok := n.(*Param)
-		if !ok {
-			return nil
-		}
-		v, ok := params[p.Name]
-		if !ok {
-			if missing == "" {
-				missing = p.Name
-			}
-			return nil
-		}
-		return &Const{V: v, Loc: p.Loc}
-	})
-	if missing != "" {
-		return nil, fmt.Errorf("graql: no binding for parameter %%%s%%", missing)
+	b := binder{lookup: lookup, fold: fold}
+	out := b.walk(e)
+	if b.missing != "" {
+		return nil, fmt.Errorf("graql: no binding for parameter %%%s%%", b.missing)
 	}
 	return out, nil
+}
+
+type binder struct {
+	lookup  func(string) (value.Value, bool)
+	fold    bool
+	missing string // the first unbound parameter
+}
+
+// Folded booleans carry no span: bound conditions are only evaluated.
+var boundTrue, boundFalse = &Const{V: value.NewBool(true)}, &Const{V: value.NewBool(false)}
+
+// walk rebuilds only the nodes above a parameter. Folding evaluates
+// constant operands in place, and a connective that folds to one of its
+// operands is evaluated from a stack copy, so a condition that folds
+// away allocates nothing.
+func (b *binder) walk(e Expr) Expr {
+	switch n := e.(type) {
+	case *Param:
+		v, ok := b.lookup(n.Name)
+		if !ok {
+			if b.missing == "" {
+				b.missing = n.Name
+			}
+			return n
+		}
+		return &Const{V: v, Loc: n.Loc}
+	case *Unary:
+		x := b.walk(n.X)
+		if x == n.X {
+			return n
+		}
+		u := Unary{Op: n.Op, X: x, Loc: n.Loc}
+		if b.fold {
+			if f := foldNode(&u); f != nil {
+				return f
+			}
+		}
+		return &Unary{Op: u.Op, X: u.X, Loc: u.Loc}
+	case *Binary:
+		if b.fold && !n.Op.Logical() {
+			if l, ok := b.value(n.L); ok {
+				if r, ok := b.value(n.R); ok {
+					if v, err := evalOperands(n.Op, l, r); err == nil {
+						switch {
+						case v.Kind() != value.KindBool || v.IsNull():
+							return &Const{V: v, Loc: n.Loc}
+						case v.Bool():
+							return boundTrue
+						default:
+							return boundFalse
+						}
+					}
+				}
+			}
+		}
+		l, r := b.walk(n.L), b.walk(n.R)
+		if l == n.L && r == n.R {
+			return n
+		}
+		bin := Binary{Op: n.Op, L: l, R: r, Loc: n.Loc}
+		if b.fold {
+			if f := foldNode(&bin); f != nil {
+				return f
+			}
+		}
+		return &Binary{Op: bin.Op, L: bin.L, R: bin.R, Loc: bin.Loc}
+	}
+	return e
+}
+
+// value returns the constant an operand binds to, if it is one.
+func (b *binder) value(e Expr) (value.Value, bool) {
+	switch n := e.(type) {
+	case *Const:
+		return n.V, true
+	case *Param:
+		return b.lookup(n.Name)
+	}
+	return value.Value{}, false
 }
 
 // Params returns the distinct parameter names appearing in e, in first-use

@@ -75,7 +75,6 @@ func (r *Registry) FingerprintCached(script string) (uint64, string) {
 	return fp, text
 }
 
-// Fingerprint normalizes a GraQL statement (or script) and returns its
 // Byte-class bits for the normalization scanner: one table load replaces
 // the three-comparison range tests that otherwise dominate the pass.
 const (
@@ -104,6 +103,67 @@ var fpClass = func() (t [256]byte) {
 // statements differing only in literal values, parameter names, comments,
 // whitespace or keyword/identifier case share a fingerprint.
 func Fingerprint(script string) (uint64, string) {
+	fp, text, _ := scan(script, nil)
+	return fp, text
+}
+
+// LiteralClass is the lexical class of a literal token: the lexer's
+// string, integer or float token kind.
+type LiteralClass uint8
+
+// Literal classes.
+const (
+	LitString LiteralClass = iota + 1
+	LitInt
+	LitFloat
+)
+
+// Literal is one literal token of a scanned text: its byte span (a
+// string's quotes included; a negative number's sign excluded, since the
+// lexer reads it as a separate token) and its class.
+type Literal struct {
+	Start, End int
+	Class      LiteralClass
+}
+
+// TextScan is the result of ScanText: everything the server's text
+// front end learns about a request in one byte pass.
+type TextScan struct {
+	// FP and Text are Fingerprint's shape id and normalized text.
+	FP   uint64
+	Text string
+	// Delimited reports that Lits are exactly the lexer's literal
+	// tokens: the text has no unterminated string or block comment and
+	// no byte outside strings and comments that the lexer could read as
+	// a non-ASCII letter. Shape and Lits are meaningful only then.
+	Delimited bool
+	// Shape hashes the text with every literal token cut out (each
+	// replaced by its class), so literal variants of one text share it.
+	Shape uint64
+	Lits  []Literal
+}
+
+// ScanText is Fingerprint extended with the literal tokens of the text,
+// found by the lexer's own literal-scanning rules, and the hash of the
+// text around them. It is the probe key of the engine's text template
+// cache.
+func ScanText(script string) TextScan {
+	var ts TextScan
+	ts.Lits = make([]Literal, 0, len(script)/16+8)
+	ts.FP, ts.Text, ts.Delimited = scan(script, &ts.Lits)
+	if ts.Delimited {
+		ts.Shape = shapeHash(script, ts.Lits)
+	} else {
+		ts.Lits = nil
+	}
+	return ts
+}
+
+// scan is the single normalization pass behind Fingerprint and
+// ScanText. When lits is non-nil it also collects the literal tokens;
+// delimited reports whether they match the lexer's (see
+// TextScan.Delimited).
+func scan(script string, lits *[]Literal) (fp uint64, text string, delimited bool) {
 	// The loop appends to a plain byte slice with the space/last-byte
 	// bookkeeping inlined at each emission site — a closure here costs a
 	// call per output byte and roughly doubles the pass. Identifier and
@@ -115,6 +175,7 @@ func Fingerprint(script string) (uint64, string) {
 	buf := make([]byte, 0, len(script))
 	pendingSpace := false
 	h := uint64(fnvOffset64)
+	delimited = true
 
 	n := len(script)
 	for i := 0; i < n; {
@@ -156,10 +217,14 @@ func Fingerprint(script string) (uint64, string) {
 			}
 			if i < n {
 				i += 2
+			} else {
+				delimited = false // the lexer rejects an unterminated comment
 			}
 			pendingSpace = true
 		case c == '\'':
 			// String literal; '' is the embedded-quote escape.
+			start := i
+			closed := false
 			i++
 			for i < n {
 				if script[i] == '\'' {
@@ -168,9 +233,16 @@ func Fingerprint(script string) (uint64, string) {
 						continue
 					}
 					i++
+					closed = true
 					break
 				}
 				i++
+			}
+			if !closed {
+				delimited = false
+			}
+			if lits != nil {
+				*lits = append(*lits, Literal{Start: start, End: i, Class: LitString})
 			}
 			if pendingSpace && len(buf) > 0 {
 				buf = append(buf, ' ')
@@ -195,7 +267,11 @@ func Fingerprint(script string) (uint64, string) {
 			buf = append(buf, out)
 			h = (h ^ uint64(out)) * fnvPrime64
 		case cl&clDigit != 0:
+			start := i
 			i = numberEnd(script, i)
+			if lits != nil {
+				*lits = append(*lits, Literal{Start: start, End: i, Class: numberClass(script[start:i])})
+			}
 			if pendingSpace && len(buf) > 0 {
 				buf = append(buf, ' ')
 				h = (h ^ ' ') * fnvPrime64
@@ -205,8 +281,13 @@ func Fingerprint(script string) (uint64, string) {
 			h = (h ^ '?') * fnvPrime64
 		case c == '-' && i+1 < n && script[i+1] >= '0' && script[i+1] <= '9' && unaryContext(lastByte(buf)):
 			// A negative literal, not the '-' of an arrow ("-->") or a
-			// subtraction: the sign folds into the '?'.
-			i = numberEnd(script, i+1)
+			// subtraction: the sign folds into the '?'. The lexer reads
+			// the sign as its own token, so the literal starts after it.
+			start := i + 1
+			i = numberEnd(script, start)
+			if lits != nil {
+				*lits = append(*lits, Literal{Start: start, End: i, Class: numberClass(script[start:i])})
+			}
 			if pendingSpace && len(buf) > 0 {
 				buf = append(buf, ' ')
 				h = (h ^ ' ') * fnvPrime64
@@ -215,6 +296,11 @@ func Fingerprint(script string) (uint64, string) {
 			buf = append(buf, '?')
 			h = (h ^ '?') * fnvPrime64
 		default:
+			if c >= 0x80 {
+				// The lexer reads Latin-1 letter bytes as identifier
+				// characters, which this ASCII scanner does not.
+				delimited = false
+			}
 			if pendingSpace && len(buf) > 0 {
 				buf = append(buf, ' ')
 				h = (h ^ ' ') * fnvPrime64
@@ -226,7 +312,50 @@ func Fingerprint(script string) (uint64, string) {
 		}
 	}
 
-	return h, string(buf)
+	return h, string(buf), delimited
+}
+
+// numberClass classifies a numeric literal as the lexer does: a
+// fraction or an exponent makes it a float.
+func numberClass(s string) LiteralClass {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '.' || c == 'e' || c == 'E' {
+			return LitFloat
+		}
+	}
+	return LitInt
+}
+
+// shapeHash hashes the text around the literal tokens, each literal
+// replaced by its class. It only spreads texts over the template cache:
+// a hit still compares the text around the literals byte for byte, so a
+// collision costs a comparison, never a wrong answer. Segments are
+// folded eight bytes per step.
+func shapeHash(script string, lits []Literal) uint64 {
+	h := uint64(fnvOffset64)
+	prev := 0
+	for _, l := range lits {
+		h = hashSegment(h, script[prev:l.Start])
+		h = (h ^ uint64(l.Class)<<56 ^ uint64(l.Start-prev)) * fnvPrime64
+		prev = l.End
+	}
+	h = hashSegment(h, script[prev:])
+	h ^= h >> 31
+	return h
+}
+
+func hashSegment(h uint64, s string) uint64 {
+	for len(s) >= 8 {
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		h = (h ^ w) * fnvPrime64
+		h ^= h >> 29
+		s = s[8:]
+	}
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
 
 // lastByte is the most recent normalized byte (0 before any output) —

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"graql/internal/lexer"
 )
 
 func TestFingerprintNormalization(t *testing.T) {
@@ -89,11 +92,30 @@ func FuzzFingerprint(f *testing.F) {
 	f.Add("select %p% from table T -- comment\n/* block */ where x < -1.5e3")
 	f.Add("'unterminated")
 	f.Add("%bad param")
+	f.Add("select id from table T where s = 'it''s' and n > -3 and f < 2.5e-1 and g = 7.")
+	f.Add("V (x <> 1e+5) --e(w >= 007)--> W ( ) // 'c'\n/* 'd' 9 */ 1.5.5")
 	f.Fuzz(func(t *testing.T, script string) {
 		fp1, text1 := Fingerprint(script)
 		fp2, text2 := Fingerprint(script)
 		if fp1 != fp2 || text1 != text2 {
 			t.Fatalf("Fingerprint not deterministic for %q", script)
+		}
+		// The template probe's pass fingerprints identically, and for any
+		// text that lexes its literals are exactly the lexer's literal
+		// tokens.
+		ts := ScanText(script)
+		if ts.FP != fp1 || ts.Text != text1 {
+			t.Fatalf("ScanText fingerprint %x/%q, Fingerprint %x/%q", ts.FP, ts.Text, fp1, text1)
+		}
+		if toks, err := lexer.Lex(script); err == nil {
+			if !ts.Delimited && isASCII(script) {
+				t.Fatalf("%q lexes but the pass found its literals undelimited", script)
+			}
+			if ts.Delimited {
+				if got, want := ts.Lits, lexerLiterals(toks); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%q: pass literals %v, lexer literals %v", script, got, want)
+				}
+			}
 		}
 		// The hash must always match the returned normalized text.
 		if fp1 != fnv1a(text1) {
@@ -149,5 +171,84 @@ func BenchmarkFingerprint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fp, _ := Fingerprint(q)
 		sinkFP = fp
+	}
+}
+
+// lexerLiterals lists the lexer's literal tokens in ScanText's form.
+func lexerLiterals(toks []lexer.Token) []Literal {
+	out := []Literal{}
+	for _, tk := range toks {
+		var c LiteralClass
+		switch tk.Kind {
+		case lexer.String:
+			c = LitString
+		case lexer.Int:
+			c = LitInt
+		case lexer.Float:
+			c = LitFloat
+		default:
+			continue
+		}
+		out = append(out, Literal{Start: tk.Start, End: tk.End, Class: c})
+	}
+	return out
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+func TestScanTextLiterals(t *testing.T) {
+	src := "select a1 from table T where s = 'it''s' and n > -3 and f < 2.5e-1 and x = 7. // 'no'\n/* 4 */ y --e--> 5"
+	ts := ScanText(src)
+	if !ts.Delimited {
+		t.Fatal("not delimited")
+	}
+	var got []string
+	for _, l := range ts.Lits {
+		got = append(got, fmt.Sprintf("%s:%d", src[l.Start:l.End], l.Class))
+	}
+	want := []string{"'it''s':1", "3:2", "2.5e-1:3", "7:2", "5:2"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("literals %v, want %v", got, want)
+	}
+	if fp, text := Fingerprint(src); fp != ts.FP || text != ts.Text {
+		t.Errorf("ScanText fingerprint differs from Fingerprint")
+	}
+	for _, bad := range []string{"select 'open", "select 1 /* open", "select caf\xe9 from table T"} {
+		if ScanText(bad).Delimited {
+			t.Errorf("%q: delimited, want not", bad)
+		}
+	}
+}
+
+// Literal variants of one class share a shape; a change of class, of the
+// text around the literals or of its spelling does not.
+func TestScanTextShape(t *testing.T) {
+	shape := func(s string) uint64 { return ScanText(s).Shape }
+	base := shape("select x from table T where s = 'a' and n < 10")
+	for _, same := range []string{
+		"select x from table T where s = 'a much longer string' and n < 123456",
+		"select x from table T where s = '' and n < 0",
+	} {
+		if shape(same) != base {
+			t.Errorf("%q: shape differs from its literal variant", same)
+		}
+	}
+	for _, other := range []string{
+		"select x from table T where s = 'a' and n < 1.5",
+		"select x from table T where s = 1 and n < 10",
+		"SELECT x from table T where s = 'a' and n < 10",
+		"select x from table T where s = 'a' and  n < 10",
+		"select x from table T where s = 'a' and n <= 10",
+	} {
+		if shape(other) == base {
+			t.Errorf("%q: shares its shape with a different text", other)
+		}
 	}
 }

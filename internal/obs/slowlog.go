@@ -85,8 +85,15 @@ func (r *Registry) ObserveQueryTrace(script string, elapsed time.Duration, trace
 // carrying the fingerprint, row count and error code alongside the
 // legacy fields.
 func (r *Registry) observeSlow(ev *StmtEvent) {
+	script := ev.Script
+	if script == "" && ev.RenderScript != nil {
+		if !r.slow.exceeds(ev.Elapsed) {
+			return
+		}
+		script = ev.RenderScript()
+	}
 	q := SlowQuery{
-		Script:      ev.Script,
+		Script:      script,
 		Elapsed:     ev.Elapsed,
 		Fingerprint: FormatFingerprint(ev.Fingerprint),
 		Rows:        ev.Rows,
@@ -96,6 +103,15 @@ func (r *Registry) observeSlow(ev *StmtEvent) {
 		q.TraceID = ev.Trace.String()
 	}
 	r.slow.record(q)
+}
+
+// exceeds reports whether a statement taking elapsed passes the
+// threshold, so a caller can skip building an entry that record would
+// drop.
+func (s *slowLog) exceeds(elapsed time.Duration) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.threshold > 0 && elapsed >= s.threshold
 }
 
 // record applies the threshold, retains the entry in the ring, and

@@ -33,8 +33,10 @@ type StmtEvent struct {
 	Fingerprint uint64
 	Text        string
 	// Script is the raw statement text (literals intact), used by the
-	// slow-query log.
-	Script string
+	// slow-query log. When it is empty, RenderScript (if set) produces it,
+	// and only for an event the slow log actually records.
+	Script       string
+	RenderScript func() string
 	// Kind is the statement kind ("select", "insert", ...).
 	Kind string
 	// Code classifies a failure ("canceled", "deadline", "exec"); empty on

@@ -3,6 +3,7 @@ package sema
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"graql/internal/ast"
 	"graql/internal/diag"
@@ -69,6 +70,25 @@ type Select struct {
 	// OutSchema is the output column schema (table-producing selects).
 	OutSchema table.Schema
 	OrderBy   []OrderKey
+
+	// whereText memoizes WhereString: a plan is immutable once analyzed
+	// and shared by every plan-cache hit, so its where clause is rendered
+	// at most once.
+	whereText atomic.Pointer[string]
+}
+
+// WhereString renders the table-mode where clause ("" without one),
+// once per analyzed select.
+func (s *Select) WhereString() string {
+	if s.Where == nil {
+		return ""
+	}
+	if p := s.whereText.Load(); p != nil {
+		return *p
+	}
+	w := s.Where.String()
+	s.whereText.Store(&w)
+	return w
 }
 
 func (*Select) semaStmt() {}

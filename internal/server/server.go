@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"graql/internal/ast"
 	"graql/internal/cluster"
 	"graql/internal/diag"
 	"graql/internal/exec"
@@ -489,15 +490,26 @@ func (s *Server) dispatch(ctx context.Context, req *Request, eng *exec.Engine) *
 		// rides the context into per-statement accounting.
 		qctx, qcancel := context.WithCancel(ctx)
 		defer qcancel()
-		fp, text := s.eng.Opts.Obs.FingerprintCached(req.Script)
+		// The queued entry shows the request's fingerprint. With text
+		// templates on, a text request's comes from the same byte pass
+		// that keys its template probe.
+		var fp uint64
+		var text string
+		var scan *obs.TextScan
 		switch {
+		case req.Op == "exec" && eng.TextTemplates():
+			ts := obs.ScanText(req.Script)
+			scan = &ts
+			fp, text = ts.FP, ts.Text
+		case req.Op == "exec":
+			fp, text = s.eng.Opts.Obs.FingerprintCached(req.Script)
 		case req.Op == "execir":
-			fp, text = obs.Fingerprint("(compiled ir)")
-		case req.Op == "execute":
+			fp, text = compiledIRFP, compiledIRText
+		default:
 			if p := s.prepared.Get(req.Stmt); p != nil {
 				fp, text = s.eng.Opts.Obs.FingerprintCached(p.Text())
 			} else {
-				fp, text = obs.Fingerprint("(unknown prepared statement)")
+				fp, text = unknownStmtFP, unknownStmtText
 			}
 		}
 		lq := s.eng.Opts.Obs.StartQueuedQuery(fp, text, qcancel)
@@ -512,7 +524,7 @@ func (s *Server) dispatch(ctx context.Context, req *Request, eng *exec.Engine) *
 		if req.Op == "execute" {
 			return s.execPrepared(ctx, req, eng)
 		}
-		return s.runScript(ctx, req, eng)
+		return s.runScript(ctx, req, eng, scan)
 	case "prepare":
 		return s.prepare(req)
 	case "deallocate":
@@ -526,7 +538,7 @@ func (s *Server) dispatch(ctx context.Context, req *Request, eng *exec.Engine) *
 	case "check":
 		return s.checkScript(req.Script)
 	case "compile":
-		blob, bad := requestIR(req)
+		blob, _, bad := requestIR(req)
 		if bad != nil {
 			return bad
 		}
@@ -559,6 +571,13 @@ func (s *Server) dispatch(ctx context.Context, req *Request, eng *exec.Engine) *
 	return fail(CodeBadRequest, "unknown op %q", req.Op)
 }
 
+// The live-query labels of requests without script text, fingerprinted
+// once.
+var (
+	compiledIRFP, compiledIRText   = obs.Fingerprint("(compiled ir)")
+	unknownStmtFP, unknownStmtText = obs.Fingerprint("(unknown prepared statement)")
+)
+
 // admissionFailure maps a Gate.Acquire error to its wire form: a full
 // queue is "overloaded"; a deadline that expired while queued reports
 // the same codes execution would.
@@ -573,40 +592,67 @@ func admissionFailure(err error) *Response {
 	}
 }
 
-// requestIR returns the request's script as binary IR. Op "execir",
-// and "prepare" without a script, carry base64 IR; every other op
-// carries script text, which is parsed and encoded — the §III front end
-// compiles each script to the IR it ships to the backend, so the codec
-// round-trips on all text traffic.
-func requestIR(req *Request) ([]byte, *Response) {
+// requestIR returns the request's script as binary IR, and its parse
+// when the request carried text. Op "execir", and "prepare" without a
+// script, carry base64 IR; every other op carries script text, which is
+// parsed and encoded — the §III front end compiles each script to the IR
+// it ships to the backend, so the codec round-trips on all text traffic
+// that misses the template cache.
+func requestIR(req *Request) ([]byte, *ast.Script, *Response) {
 	if req.Op == "execir" || (req.Op == "prepare" && req.Script == "") {
 		blob, err := base64.StdEncoding.DecodeString(req.IR)
 		if err != nil {
-			return nil, fail(CodeBadRequest, "bad IR base64: %v", err)
+			return nil, nil, fail(CodeBadRequest, "bad IR base64: %v", err)
 		}
-		return blob, nil
+		return blob, nil, nil
 	}
 	script, err := parser.Parse(req.Script)
 	if err != nil {
-		return nil, fail(CodeParse, "%v", err)
+		return nil, nil, fail(CodeParse, "%v", err)
 	}
 	blob, err := ir.Encode(script)
 	if err != nil {
-		return nil, fail(CodeExec, "%v", err)
+		return nil, nil, fail(CodeExec, "%v", err)
 	}
-	return blob, nil
+	return blob, script, nil
 }
 
-// runScript executes ops "exec" and "execir": the request's IR is
-// decoded and verified by the engine's shared helper, then its
-// statements run in order. A failing statement ends the script; the
-// results of the statements before it stay in the response.
-func (s *Server) runScript(ctx context.Context, req *Request, eng *exec.Engine) *Response {
+// runScript executes ops "exec" and "execir". A text request (scan
+// non-nil) first probes the engine's text template cache: a hit runs the
+// template's prepared statements with the request's literals bound, with
+// no lexing, parsing or IR round trip. Otherwise the request's IR is
+// decoded and verified by the engine's shared helper and its statements
+// run in order; a text that ran cleanly is then offered to the template
+// cache, which builds one on the second sighting. A failing statement
+// ends the script; the results of the statements before it stay in the
+// response.
+func (s *Server) runScript(ctx context.Context, req *Request, eng *exec.Engine, scan *obs.TextScan) *Response {
 	params, err := decodeParams(req.Params)
 	if err != nil {
 		return fail(CodeBadRequest, "%v", err)
 	}
-	blob, bad := requestIR(req)
+	resp := &Response{}
+	done := 0 // statements already run from a template
+	if scan != nil {
+		if hit := eng.ProbeTemplate(req.Script, scan); hit != nil {
+			results, err := eng.ExecTemplateContext(ctx, hit, params)
+			for _, r := range results {
+				resp.Results = append(resp.Results, EncodeResult(r))
+			}
+			if !errors.Is(err, exec.ErrTemplateStale) {
+				if err != nil {
+					resp.Code, resp.Error = ErrorCode(err), err.Error()
+					return resp
+				}
+				resp.OK = true
+				return resp
+			}
+			// The catalog moved under the template: the remaining
+			// statements take the parse path.
+			done = len(results)
+		}
+	}
+	blob, parsed, bad := requestIR(req)
 	if bad != nil {
 		return bad
 	}
@@ -614,9 +660,8 @@ func (s *Server) runScript(ctx context.Context, req *Request, eng *exec.Engine) 
 	if err != nil {
 		return fail(CodeBadRequest, "%v", err)
 	}
-	resp := &Response{}
-	for i, st := range script.Stmts {
-		r, err := eng.ExecStmtContext(ctx, st, params)
+	for i := done; i < len(script.Stmts); i++ {
+		r, err := eng.ExecStmtContext(ctx, script.Stmts[i], params)
 		if err != nil {
 			resp.Code = ErrorCode(err)
 			resp.Error = fmt.Sprintf("statement %d: %v", i+1, err)
@@ -625,6 +670,9 @@ func (s *Server) runScript(ctx context.Context, req *Request, eng *exec.Engine) 
 		resp.Results = append(resp.Results, EncodeResult(r))
 	}
 	resp.OK = true
+	if scan != nil && done == 0 {
+		eng.BuildTemplate(req.Script, scan, parsed)
+	}
 	return resp
 }
 
@@ -636,7 +684,7 @@ func (s *Server) prepare(req *Request) *Response {
 	if req.Script == "" && req.IR == "" {
 		return fail(CodeBadRequest, "prepare requires script or ir")
 	}
-	blob, bad := requestIR(req)
+	blob, _, bad := requestIR(req)
 	if bad != nil {
 		return bad
 	}
