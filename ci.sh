@@ -120,6 +120,12 @@ go test -run='^$' -fuzz='^FuzzFingerprint$' -fuzztime="$FUZZTIME" ./internal/obs
 go test -run='^$' -fuzz='^FuzzKeySeek$' -fuzztime="$FUZZTIME" ./internal/exec
 go test -run='^$' -fuzz='^FuzzTextTemplate$' -fuzztime="$FUZZTIME" ./internal/server
 
+echo "== served-suite benchmark smoke =="
+# One iteration of the in-process served-suite benchmark (prepared
+# BQ1-BQ8 on SF10, traced and untraced), so the harness E20 reports
+# from keeps compiling and running.
+go test -run='^$' -bench='^BenchmarkServedSuite$' -benchtime=1x ./internal/server
+
 echo "== graql vet gate =="
 # The shipped example scripts must vet clean (exit 0), and the seeded
 # broken corpus must be rejected (exit 1) — both directions of the

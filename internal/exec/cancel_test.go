@@ -63,13 +63,16 @@ where Links.src = A.id and Links.dst = B.id
 	return e
 }
 
-// slowQuery enumerates every 3-hop binding with a column select, which
-// forces full row materialisation instead of the bitmap-cull fast path.
-// On the 150×15 fixture the unbounded run takes a few hundred ms, so a
-// ~20ms deadline reliably expires while the sweep is in flight.
+// slowQuery enumerates every 4-hop walk from the vertices with id <
+// 'v13' and keeps those that return to their start, a column select
+// that needs binding enumeration instead of the bitmap-cull fast path.
+// The cross-step condition is checked per binding, so the time goes to
+// the sweep, not to projecting the few result rows: on the 150×15
+// fixture the unbounded run takes a few hundred ms, and a ~20ms
+// deadline reliably expires while the sweep is in flight.
 const slowQuery = `
-select a.id as src, d.id as dst from graph
-def a: N ( ) --link--> N ( ) --link--> N ( ) --link--> def d: N ( )
+select a.id as src, e.id as dst from graph
+def a: N (id < 'v13') --link--> N ( ) --link--> N ( ) --link--> N ( ) --link--> def e: N (id = a.id)
 into table SlowT`
 
 // clusterQuery is a concrete linear chain into a subgraph, the shape

@@ -51,9 +51,10 @@ type matcher struct {
 	cands []*bitmap.Bitmap // lazily built per-node candidate sets
 
 	// spans traces one operator per order position when the engine runs
-	// under EXPLAIN ANALYZE (nil otherwise). spans[d] counts the bindings
-	// that survive verification and deferred conditions at depth d; times
-	// are inclusive of deeper steps and summed across parallel workers.
+	// traced (nil otherwise). spans[d] counts the bindings that survive
+	// verification and deferred conditions at depth d; times are
+	// inclusive of deeper steps and summed across parallel workers.
+	// Workers count into their own wstate.steps and flush per shard.
 	spans []*obs.Span
 
 	workers int
@@ -82,7 +83,22 @@ type wstate struct {
 	// query table by that poll.
 	tick     uint32
 	reported int64
+	// steps[d] accounts the span of order position d on a traced run
+	// (nil otherwise), flushed per shard like the metric counters.
+	steps []stepAcct
 }
+
+// stepAcct is one worker's share of a matcher step's span: exact
+// surviving rows, and the expand calls of which only every
+// stepSampleMask+1-th (the first included) reads the clock.
+type stepAcct struct {
+	rows, calls, timed, ns int64
+}
+
+// stepSampleMask times one expand call in 64 per depth per worker: a
+// clock read pair costs about as much as a short expansion, so timing
+// every call made traced execution markedly slower than untraced.
+const stepSampleMask = 63
 
 type regexKey struct {
 	edge    int
@@ -231,16 +247,19 @@ func (m *matcher) buildSpans() {
 	}
 }
 
-// noteRow credits one surviving binding to the span of the given depth.
-func (m *matcher) noteRow(depth int) {
-	if m.spans != nil {
-		m.spans[depth].Incr()
-	}
-}
-
-// flush drains a worker's batched metric counters into the engine's
-// registry; called once per shard so hot loops only bump local int64s.
+// flush drains a worker's batched span and metric counters into the
+// shared spans and the engine's registry; called once per shard so hot
+// loops only bump local int64s. A step's sampled time is scaled up by
+// calls / timed calls into an estimate of its whole time.
 func (m *matcher) flush(w *wstate) {
+	for d := range w.steps {
+		st := &w.steps[d]
+		m.spans[d].AddRows(st.rows)
+		if st.timed > 0 {
+			m.spans[d].AddTime(time.Duration(float64(st.ns) * float64(st.calls) / float64(st.timed)))
+		}
+		*st = stepAcct{}
+	}
 	if m.e.met.reg == nil {
 		return
 	}
@@ -416,6 +435,10 @@ func (m *matcher) matchAll(nShards int, sink func(shard int, b []uint32) error) 
 		for i := range w.b {
 			w.b[i] = NoBind
 		}
+		if m.spans != nil {
+			w.steps = make([]stepAcct, len(m.order))
+		}
+		emit := func(b []uint32) error { return sink(si, b) }
 		var inner error
 		cand.ForEachRange(shards[si][0], shards[si][1], func(v uint32) {
 			if inner != nil {
@@ -426,7 +449,7 @@ func (m *matcher) matchAll(nShards int, sink func(shard int, b []uint32) error) 
 				return
 			}
 			w.b[first.Node] = v
-			if err := m.afterBind(w, 0, func(b []uint32) error { return sink(si, b) }); err != nil {
+			if err := m.afterBind(w, 0, emit); err != nil {
 				inner = err
 			}
 			w.b[first.Node] = NoBind
@@ -461,7 +484,9 @@ func (m *matcher) verifyFrom(w *wstate, depth, vi int, emit func([]uint32) error
 				return nil
 			}
 		}
-		m.noteRow(depth)
+		if w.steps != nil {
+			w.steps[depth].rows++
+		}
 		if depth+1 == len(m.order) {
 			return emit(w.b)
 		}
@@ -504,15 +529,22 @@ func (m *matcher) verifyFrom(w *wstate, depth, vi int, emit func([]uint32) error
 }
 
 // expand binds the node at order position depth by traversing its Via
-// edge from the already-bound endpoint. Under EXPLAIN ANALYZE the call is
-// timed into the depth's span (inclusive of deeper expansions).
+// edge from the already-bound endpoint. On a traced run one call in
+// stepSampleMask+1 per depth and worker is timed into the depth's
+// accounting (inclusive of deeper expansions); flush scales the sample.
 func (m *matcher) expand(w *wstate, depth int, emit func([]uint32) error) error {
-	if m.spans == nil {
+	if w.steps == nil {
+		return m.expandStepAt(w, depth, emit)
+	}
+	st := &w.steps[depth]
+	st.calls++
+	if (st.calls-1)&stepSampleMask != 0 {
 		return m.expandStepAt(w, depth, emit)
 	}
 	t0 := time.Now()
 	err := m.expandStepAt(w, depth, emit)
-	m.spans[depth].AddTime(time.Since(t0))
+	st.ns += int64(time.Since(t0))
+	st.timed++
 	return err
 }
 

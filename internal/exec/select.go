@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"graql/internal/ast"
@@ -351,40 +352,77 @@ func (e *Engine) runGraphSelect(s *sema.Select, params map[string]value.Value) (
 // rows to out (Fig. 13: the matching subgraph as a table, one row per
 // binding — multiplicities preserved, which is what makes the paper's Q2
 // feature-count work).
+//
+// The projection is columnar: during the sweep each shard only records
+// the bound ids of the projected steps, and afterwards each output column
+// is one Gather of its attribute column over those ids, in shard order.
 func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table) error {
 	pat := prep.alt.Pattern
 	proj := prep.alt.Proj
+	// srcs lists the projected steps once each; slot[i] is proj[i]'s.
+	var srcs []int
+	slot := make([]int, len(proj))
+	for i, item := range proj {
+		slot[i] = slices.Index(srcs, item.Source)
+		if slot[i] < 0 {
+			slot[i] = len(srcs)
+			srcs = append(srcs, item.Source)
+		}
+	}
 	return e.forEachTyping(pat, func(nt []*graph.VertexType, et []*graph.EdgeType) error {
 		m, err := e.newMatcher(pat, cloneTypes(nt), cloneEdgeTypes(et), prep.nodeCond, prep.edgeCond, mustSeeds(e, pat, nt))
 		if err != nil {
 			return err
 		}
 		nShards := m.workers * 4
-		buckets := make([][][]value.Value, nShards)
+		// ids[shard] holds len(srcs) bound ids per binding.
+		ids := make([][]uint32, nShards)
 		err = m.matchAll(nShards, func(shard int, b []uint32) error {
-			row := make([]value.Value, len(proj))
-			for i, item := range proj {
-				if item.Source < len(pat.Nodes) {
-					row[i] = m.nodeType[item.Source].AttrValue(b[item.Source], item.Col)
-				} else {
-					ei := item.Source - len(pat.Nodes)
-					row[i] = m.edgeType[ei].AttrValue(b[item.Source], item.Col)
-				}
+			for _, src := range srcs {
+				ids[shard] = append(ids[shard], b[src])
 			}
-			buckets[shard] = append(buckets[shard], row)
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		for _, rows := range buckets {
-			for _, row := range rows {
-				if err := out.AppendRow(row); err != nil {
-					return err
+		n := 0
+		for _, sh := range ids {
+			n += len(sh) / len(srcs)
+		}
+		if n == 0 {
+			return nil
+		}
+		// Per projected step: its attribute table and, in binding
+		// order, the rows of that table the bindings bound.
+		attrs := make([]*table.Table, len(srcs))
+		rows := make([][]uint32, len(srcs))
+		for k, src := range srcs {
+			r := make([]uint32, 0, n)
+			for _, sh := range ids {
+				for i := k; i < len(sh); i += len(srcs) {
+					r = append(r, sh[i])
 				}
 			}
+			if src < len(pat.Nodes) {
+				vt := m.nodeType[src]
+				attrs[k] = vt.AttrTable()
+				for j, v := range r {
+					r[j] = vt.AttrRow(v)
+				}
+			} else {
+				attrs[k] = m.edgeType[src-len(pat.Nodes)].Attrs // edge id == attribute row
+			}
+			rows[k] = r
 		}
-		return nil
+		cols := make([]table.Column, len(proj))
+		for i, item := range proj {
+			if err := e.canceled(); err != nil {
+				return err
+			}
+			cols[i] = attrs[slot[i]].Col(item.Col).Gather(rows[slot[i]])
+		}
+		return out.AppendColumns(cols)
 	})
 }
 

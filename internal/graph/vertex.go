@@ -174,10 +174,24 @@ func (vt *VertexType) AttrName(col int) string {
 
 // AttrValue returns attribute col of vertex v, resolved per AttrIndex.
 func (vt *VertexType) AttrValue(v VID, col int) value.Value {
+	return vt.AttrTable().Value(vt.AttrRow(v), col)
+}
+
+// AttrTable returns the table the AttrIndex columns address: the base
+// table for a one-to-one type, the Keys table otherwise.
+func (vt *VertexType) AttrTable() *table.Table {
 	if vt.OneToOne {
-		return vt.Base.Value(vt.baseRow[v], col)
+		return vt.Base
 	}
-	return vt.Keys.Value(v, col)
+	return vt.Keys
+}
+
+// AttrRow returns vertex v's row in AttrTable.
+func (vt *VertexType) AttrRow(v VID) uint32 {
+	if vt.OneToOne {
+		return vt.baseRow[v]
+	}
+	return v
 }
 
 // AttrSchema returns the full attribute schema visible on this vertex type

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 )
 
@@ -148,31 +149,60 @@ type TextScan struct {
 // text around them. It is the probe key of the engine's text template
 // cache.
 func ScanText(script string) TextScan {
+	// One literal per eight bytes covers the guard-heavy probes of the
+	// served dashboards (one per ~9 bytes), so they never regrow it.
+	ls := litScan{lits: make([]Literal, 0, len(script)/8+8), h: fnvOffset64}
 	var ts TextScan
-	ts.Lits = make([]Literal, 0, len(script)/16+8)
-	ts.FP, ts.Text, ts.Delimited = scan(script, &ts.Lits)
+	ts.FP, ts.Text, ts.Delimited = scan(script, &ls)
 	if ts.Delimited {
-		ts.Shape = shapeHash(script, ts.Lits)
-	} else {
-		ts.Lits = nil
+		ts.Lits, ts.Shape = ls.lits, ls.shape(script)
 	}
 	return ts
 }
 
+// litScan collects a text's literal tokens during scan and hashes the
+// text around them as it goes: each segment between literals, then the
+// literal's class and the segment length. The hash only spreads texts
+// over the template cache: a hit still compares the text around the
+// literals byte for byte, so a collision costs a comparison, never a
+// wrong answer.
+type litScan struct {
+	lits []Literal
+	h    uint64
+	prev int // end of the last literal
+}
+
+func (ls *litScan) add(script string, start, end int, class LiteralClass) {
+	ls.lits = append(ls.lits, Literal{Start: start, End: end, Class: class})
+	ls.h = hashSegment(ls.h, script[ls.prev:start])
+	ls.h = (ls.h ^ uint64(class)<<56 ^ uint64(start-ls.prev)) * fnvPrime64
+	ls.prev = end
+}
+
+// shape folds in the text after the last literal and finalizes the hash.
+func (ls *litScan) shape(script string) uint64 {
+	h := hashSegment(ls.h, script[ls.prev:])
+	return h ^ h>>31
+}
+
 // scan is the single normalization pass behind Fingerprint and
-// ScanText. When lits is non-nil it also collects the literal tokens;
-// delimited reports whether they match the lexer's (see
-// TextScan.Delimited).
-func scan(script string, lits *[]Literal) (fp uint64, text string, delimited bool) {
-	// The loop appends to a plain byte slice with the space/last-byte
+// ScanText. When ls is non-nil it also collects the literal tokens and
+// the shape hash; delimited reports whether the tokens match the
+// lexer's (see TextScan.Delimited).
+func scan(script string, ls *litScan) (fp uint64, text string, delimited bool) {
+	// The normalized text is built once, in a builder sized to the
+	// script (normalization never lengthens it), with the space/last-byte
 	// bookkeeping inlined at each emission site — a closure here costs a
 	// call per output byte and roughly doubles the pass. Identifier and
-	// whitespace runs (the bulk of any script) are handled as runs: one
-	// bulk copy plus an in-place lowercase sweep, not per-byte appends.
+	// whitespace runs (the bulk of any script) are handled as runs.
 	// The FNV-1a hash folds into emission rather than running as a second
 	// pass: its xor-multiply chain is serial (~4 cycles/byte), so hashing
 	// alongside the scan hides the scanner behind the hash latency.
-	buf := make([]byte, 0, len(script))
+	var buf strings.Builder
+	buf.Grow(len(script))
+	// last is the most recent normalized byte (0 before any output), the
+	// one-token lookbehind for classifying '-' as sign vs operator.
+	var last byte
 	pendingSpace := false
 	h := uint64(fnvOffset64)
 	delimited = true
@@ -182,25 +212,34 @@ func scan(script string, lits *[]Literal) (fp uint64, text string, delimited boo
 		c := script[i]
 		switch cl := fpClass[c]; {
 		case cl&clIdentStart != 0:
-			if pendingSpace && len(buf) > 0 {
-				buf = append(buf, ' ')
+			if pendingSpace && buf.Len() > 0 {
+				buf.WriteByte(' ')
 				h = (h ^ ' ') * fnvPrime64
 			}
 			pendingSpace = false
 			start := i
+			upper := false
 			for i < n && fpClass[script[i]]&clIdentCont != 0 {
-				i++
-			}
-			off := len(buf)
-			buf = append(buf, script[start:i]...)
-			for j := off; j < len(buf); j++ {
-				b := buf[j]
+				b := script[i]
 				if b >= 'A' && b <= 'Z' {
 					b += 'a' - 'A'
-					buf[j] = b
+					upper = true
 				}
 				h = (h ^ uint64(b)) * fnvPrime64
+				i++
 			}
+			if !upper {
+				buf.WriteString(script[start:i])
+			} else {
+				for j := start; j < i; j++ {
+					b := script[j]
+					if b >= 'A' && b <= 'Z' {
+						b += 'a' - 'A'
+					}
+					buf.WriteByte(b)
+				}
+			}
+			last = script[i-1] // a letter, digit or '_': never a sign context
 		case cl&clSpace != 0:
 			pendingSpace = true
 			for i++; i < n && fpClass[script[i]]&clSpace != 0; i++ {
@@ -241,16 +280,17 @@ func scan(script string, lits *[]Literal) (fp uint64, text string, delimited boo
 			if !closed {
 				delimited = false
 			}
-			if lits != nil {
-				*lits = append(*lits, Literal{Start: start, End: i, Class: LitString})
+			if ls != nil {
+				ls.add(script, start, i, LitString)
 			}
-			if pendingSpace && len(buf) > 0 {
-				buf = append(buf, ' ')
+			if pendingSpace && buf.Len() > 0 {
+				buf.WriteByte(' ')
 				h = (h ^ ' ') * fnvPrime64
 			}
 			pendingSpace = false
-			buf = append(buf, '?')
+			buf.WriteByte('?')
 			h = (h ^ '?') * fnvPrime64
+			last = '?'
 		case c == '%':
 			// %name% parameter placeholder — a literal slot by definition.
 			out := byte('%')
@@ -259,60 +299,64 @@ func scan(script string, lits *[]Literal) (fp uint64, text string, delimited boo
 			} else {
 				i++
 			}
-			if pendingSpace && len(buf) > 0 {
-				buf = append(buf, ' ')
+			if pendingSpace && buf.Len() > 0 {
+				buf.WriteByte(' ')
 				h = (h ^ ' ') * fnvPrime64
 			}
 			pendingSpace = false
-			buf = append(buf, out)
+			buf.WriteByte(out)
 			h = (h ^ uint64(out)) * fnvPrime64
+			last = out
 		case cl&clDigit != 0:
 			start := i
 			i = numberEnd(script, i)
-			if lits != nil {
-				*lits = append(*lits, Literal{Start: start, End: i, Class: numberClass(script[start:i])})
+			if ls != nil {
+				ls.add(script, start, i, numberClass(script[start:i]))
 			}
-			if pendingSpace && len(buf) > 0 {
-				buf = append(buf, ' ')
+			if pendingSpace && buf.Len() > 0 {
+				buf.WriteByte(' ')
 				h = (h ^ ' ') * fnvPrime64
 			}
 			pendingSpace = false
-			buf = append(buf, '?')
+			buf.WriteByte('?')
 			h = (h ^ '?') * fnvPrime64
-		case c == '-' && i+1 < n && script[i+1] >= '0' && script[i+1] <= '9' && unaryContext(lastByte(buf)):
+			last = '?'
+		case c == '-' && i+1 < n && script[i+1] >= '0' && script[i+1] <= '9' && unaryContext(last):
 			// A negative literal, not the '-' of an arrow ("-->") or a
 			// subtraction: the sign folds into the '?'. The lexer reads
 			// the sign as its own token, so the literal starts after it.
 			start := i + 1
 			i = numberEnd(script, start)
-			if lits != nil {
-				*lits = append(*lits, Literal{Start: start, End: i, Class: numberClass(script[start:i])})
+			if ls != nil {
+				ls.add(script, start, i, numberClass(script[start:i]))
 			}
-			if pendingSpace && len(buf) > 0 {
-				buf = append(buf, ' ')
+			if pendingSpace && buf.Len() > 0 {
+				buf.WriteByte(' ')
 				h = (h ^ ' ') * fnvPrime64
 			}
 			pendingSpace = false
-			buf = append(buf, '?')
+			buf.WriteByte('?')
 			h = (h ^ '?') * fnvPrime64
+			last = '?'
 		default:
 			if c >= 0x80 {
 				// The lexer reads Latin-1 letter bytes as identifier
 				// characters, which this ASCII scanner does not.
 				delimited = false
 			}
-			if pendingSpace && len(buf) > 0 {
-				buf = append(buf, ' ')
+			if pendingSpace && buf.Len() > 0 {
+				buf.WriteByte(' ')
 				h = (h ^ ' ') * fnvPrime64
 			}
 			pendingSpace = false
-			buf = append(buf, c)
+			buf.WriteByte(c)
 			h = (h ^ uint64(c)) * fnvPrime64
+			last = c
 			i++
 		}
 	}
 
-	return h, string(buf), delimited
+	return h, buf.String(), delimited
 }
 
 // numberClass classifies a numeric literal as the lexer does: a
@@ -324,24 +368,6 @@ func numberClass(s string) LiteralClass {
 		}
 	}
 	return LitInt
-}
-
-// shapeHash hashes the text around the literal tokens, each literal
-// replaced by its class. It only spreads texts over the template cache:
-// a hit still compares the text around the literals byte for byte, so a
-// collision costs a comparison, never a wrong answer. Segments are
-// folded eight bytes per step.
-func shapeHash(script string, lits []Literal) uint64 {
-	h := uint64(fnvOffset64)
-	prev := 0
-	for _, l := range lits {
-		h = hashSegment(h, script[prev:l.Start])
-		h = (h ^ uint64(l.Class)<<56 ^ uint64(l.Start-prev)) * fnvPrime64
-		prev = l.End
-	}
-	h = hashSegment(h, script[prev:])
-	h ^= h >> 31
-	return h
 }
 
 func hashSegment(h uint64, s string) uint64 {
@@ -356,15 +382,6 @@ func hashSegment(h uint64, s string) uint64 {
 		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
-}
-
-// lastByte is the most recent normalized byte (0 before any output) —
-// the one-token lookbehind for classifying '-' as sign vs operator.
-func lastByte(buf []byte) byte {
-	if len(buf) == 0 {
-		return 0
-	}
-	return buf[len(buf)-1]
 }
 
 // FormatFingerprint renders a fingerprint in its canonical form: 16

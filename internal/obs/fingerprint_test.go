@@ -174,6 +174,22 @@ func BenchmarkFingerprint(b *testing.B) {
 	}
 }
 
+// BenchmarkScanText scans a guard-heavy dashboard probe: one literal
+// per ~9 bytes, the densest text the served text front end sees.
+func BenchmarkScanText(b *testing.B) {
+	var sb strings.Builder
+	sb.WriteString("select top 5 id, subclassOf, publisher, date from table Types\nwhere id = 't17'")
+	for i := 0; i < 32; i++ {
+		fmt.Fprintf(&sb, "\n  and 'region%d' <> 'blocked%d' and %d * 10 + 7 > %d", 40+i, 40, i, i)
+	}
+	sb.WriteString("\norder by id asc, subclassOf desc, publisher asc")
+	q := sb.String()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkFP = ScanText(q).Shape
+	}
+}
+
 // lexerLiterals lists the lexer's literal tokens in ScanText's form.
 func lexerLiterals(toks []lexer.Token) []Literal {
 	out := []Literal{}

@@ -132,8 +132,9 @@ type Attr struct {
 // Span is one unit of traced work: an operator of a query execution (a
 // scan, an edge-expansion step, a sort, …), a statement, a server
 // request, a BSP superstep. Row and time updates are atomic because
-// parallel workers share the span; times are inclusive of nested
-// operators, like the "actual time" of SQL EXPLAIN ANALYZE.
+// parallel workers share the span (the matcher's workers count locally
+// and flush once per shard); times are inclusive of nested operators,
+// like the "actual time" of SQL EXPLAIN ANALYZE.
 type Span struct {
 	Action string
 	Detail string
@@ -165,9 +166,6 @@ func (s *Span) AddRows(n int64) {
 	}
 	s.rows.Add(n)
 }
-
-// Incr adds one produced row.
-func (s *Span) Incr() { s.AddRows(1) }
 
 // AddTime accumulates elapsed wall time.
 func (s *Span) AddTime(d time.Duration) {
@@ -286,14 +284,15 @@ func (t *Trace) newSpan(parent SpanID, action, detail string) *Span {
 		return nil
 	}
 	t.mu.Lock()
+	now := time.Now() // one clock read stamps both start fields
 	if t.epoch.IsZero() {
-		t.epoch = time.Now()
+		t.epoch = now
 	}
 	s := &Span{
 		Action: action, Detail: detail,
 		tr: t, id: NewSpanID(), parent: parent,
-		startNs: int64(time.Since(t.epoch)),
-		startAt: time.Now(),
+		startNs: int64(now.Sub(t.epoch)),
+		startAt: now,
 	}
 	t.spans = append(t.spans, s)
 	t.mu.Unlock()

@@ -40,8 +40,8 @@ func startServerWith(t *testing.T, limits server.Limits, gate *server.Gate) (add
 }
 
 // loadDense populates the engine with the dense synthetic graph whose
-// unanchored 3-hop enumeration takes a few hundred ms — long enough for
-// deadlines and admission pressure to land mid-query.
+// closed-walk enumeration (denseSlowQuery) takes a few hundred ms — long
+// enough for deadlines and admission pressure to land mid-query.
 func loadDense(t *testing.T, eng *exec.Engine) {
 	t.Helper()
 	if _, err := eng.ExecScript(`
@@ -70,9 +70,13 @@ where Links.src = A.id and Links.dst = B.id
 	}
 }
 
+// denseSlowQuery walks every 4-hop path from the 35 vertices with
+// id < 'v13' (1.8M expansions) and keeps the walks that return to a. The
+// cross-step condition is checked per binding, so the cost is in the
+// matcher, not in projecting or encoding the ~12k result rows.
 const denseSlowQuery = `
-select a.id as src, d.id as dst from graph
-def a: N ( ) --link--> N ( ) --link--> N ( ) --link--> def d: N ( )
+select a.id as src, e.id as dst from graph
+def a: N (id < 'v13') --link--> N ( ) --link--> N ( ) --link--> N ( ) --link--> def e: N (id = a.id)
 into table SlowT`
 
 const denseQuickQuery = `select B.id from graph N (id = 'v0') --link--> def B: N ( )`

@@ -3,14 +3,10 @@ package server_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"graql/internal/bsbm"
-	"graql/internal/exec"
-	"graql/internal/obs"
 	"graql/internal/server"
 )
 
@@ -18,29 +14,18 @@ import (
 // sampled, default plan cache, SF10), over dash-text's four point-probe
 // shapes. BenchmarkTextHits is the template hit path; the others are
 // texts that keep missing. They use only the server's request API, so
-// the file also runs unchanged against a checkout without templates:
+// the file (with served_bench_test.go) also runs unchanged against a
+// checkout without templates:
 //
 //	go test -run '^$' -bench 'BenchmarkText' -benchtime 4000x ./internal/server
 
-// servedTextServer loads SF10 into an engine configured like the
+// servedTextServer loads SF10 into a traced engine configured like the
 // served benchmark and returns a server over it with the dataset's
 // product and type counts.
 func servedTextServer(b *testing.B) (srv *server.Server, products, types int) {
-	ds := bsbm.Generate(bsbm.Config{ScaleFactor: 10, Seed: 1})
-	reg := obs.New()
-	reg.EnableTracing(64)
-	opts := exec.DefaultOptions()
-	opts.Obs = reg
-	opts.IRVerify = "sample"
-	opts.FileOpener = func(path string) (io.ReadCloser, error) {
-		return io.NopCloser(strings.NewReader(ds.Files[path])), nil
-	}
-	eng := exec.New(opts)
-	if _, err := eng.ExecScript(bsbm.FullDDL, nil); err != nil {
-		b.Fatal(err)
-	}
-	products, _, _, types, _, _, _, _ = ds.Config.Counts()
-	return server.New(eng, ""), products, types
+	srv, cfg := servedServer(b, 64)
+	products, _, _, types, _, _, _, _ = cfg.Counts()
+	return srv, products, types
 }
 
 // probeText renders one of dash-text's shapes with the given top N and

@@ -2,6 +2,8 @@ package table
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"graql/internal/value"
 )
@@ -56,6 +58,16 @@ func (n *nulls) mark(i uint32) {
 }
 
 func (n *nulls) has(i uint32) bool { return n.set != nil && n.set[i] }
+
+// clone returns an independent copy.
+func (n *nulls) clone() nulls { return nulls{set: maps.Clone(n.set)} }
+
+// appendFrom marks src's NULL rows, shifted to start at row off.
+func (n *nulls) appendFrom(src *nulls, off int) {
+	for i := range src.set {
+		n.mark(uint32(off) + i)
+	}
+}
 
 // intColumn stores integers and dates (days since epoch).
 type intColumn struct {
@@ -193,11 +205,18 @@ func (c *boolColumn) Distinct() int { return 2 }
 // country codes and product types in the Berlin schema is highly
 // repetitive, so this both saves memory and turns equality filters into
 // integer comparisons.
+//
+// The dictionary lists exactly the strings the rows hold, in order of
+// first appearance. Every operation keeps that invariant, so Gather and
+// appendFrom can remap codes instead of re-appending strings and still
+// build the dictionary a row-by-row Append would.
 type stringColumn struct {
 	codes []uint32
 	dict  []string
+	// index maps each dictionary string to its code. It is nil or
+	// complete: Gather and an adopting appendFrom leave it nil, and the
+	// next Append builds it (appends never run beside readers).
 	index map[string]uint32
-	nil_  nulls
 	width int
 }
 
@@ -223,36 +242,216 @@ func (c *stringColumn) Append(v value.Value) error {
 		return &value.TypeError{Op: "store", A: value.KindString, B: v.Kind()}
 	}
 	s := v.Str()
+	if err := c.checkWidth(s); err != nil {
+		return err
+	}
+	c.codes = append(c.codes, c.code(s))
+	return nil
+}
+
+func (c *stringColumn) checkWidth(s string) error {
 	if c.width > 0 && len(s) > c.width {
 		return fmt.Errorf("graql: value %q exceeds varchar(%d)", s, c.width)
 	}
+	return nil
+}
+
+// ensureIndex builds the string→code index when the column has none.
+func (c *stringColumn) ensureIndex() {
 	if c.index == nil {
-		c.index = make(map[string]uint32)
+		c.index = make(map[string]uint32, len(c.dict))
+		for k, d := range c.dict {
+			c.index[d] = uint32(k)
+		}
 	}
+}
+
+// code returns the dictionary code of s, adding s when it is new.
+func (c *stringColumn) code(s string) uint32 {
+	c.ensureIndex()
 	code, ok := c.index[s]
 	if !ok {
 		code = uint32(len(c.dict))
 		c.dict = append(c.dict, s)
 		c.index[s] = code
 	}
-	c.codes = append(c.codes, code)
-	return nil
+	return code
 }
 
+// lookup returns the code of s without modifying the column, so
+// concurrent readers may call it: through the index when the column has
+// one, else by a scan of the dictionary.
+func (c *stringColumn) lookup(s string) (uint32, bool) {
+	if c.index != nil {
+		code, ok := c.index[s]
+		return code, ok
+	}
+	for k, d := range c.dict {
+		if d == s {
+			return uint32(k), true
+		}
+	}
+	return 0, false
+}
+
+// Gather remaps the gathered rows' codes into a dictionary of the strings
+// they hold, in order of first appearance, without hashing a string.
 func (c *stringColumn) Gather(idx []uint32) Column {
-	out := &stringColumn{width: c.width}
-	for _, i := range idx {
+	out := &stringColumn{codes: make([]uint32, len(idx)), width: c.width}
+	// remapped[code] is the output code plus one (0: not seen yet). A
+	// gather touching few rows of a large dictionary uses a map, since
+	// clearing a slice as long as the dictionary would dominate it.
+	var dense []uint32
+	var sparse map[uint32]uint32
+	if len(idx) >= len(c.dict)/8 {
+		dense = make([]uint32, len(c.dict))
+	} else {
+		sparse = make(map[uint32]uint32, len(idx))
+	}
+	for j, i := range idx {
 		code := c.codes[i]
 		if code == nullCode {
-			out.codes = append(out.codes, nullCode)
+			out.codes[j] = nullCode
 			continue
 		}
-		_ = out.Append(value.NewString(c.dict[code]))
+		var r uint32
+		if dense != nil {
+			r = dense[code]
+		} else {
+			r = sparse[code]
+		}
+		if r == 0 {
+			out.dict = append(out.dict, c.dict[code])
+			r = uint32(len(out.dict))
+			if dense != nil {
+				dense[code] = r
+			} else {
+				sparse[code] = r
+			}
+		}
+		out.codes[j] = r - 1
 	}
 	return out
+}
+
+// firstOverlong returns the first row of src holding a string wider
+// than the column's varchar width, and the error Append reports for it;
+// row -1 when every string fits.
+func (c *stringColumn) firstOverlong(src *stringColumn) (int, error) {
+	if c.width <= 0 {
+		return -1, nil
+	}
+	var wide []bool // by src code
+	for k, s := range src.dict {
+		if len(s) > c.width {
+			if wide == nil {
+				wide = make([]bool, len(src.dict))
+			}
+			wide[k] = true
+		}
+	}
+	if wide == nil {
+		return -1, nil
+	}
+	for r, x := range src.codes {
+		if x != nullCode && wide[x] {
+			return r, c.checkWidth(src.dict[x])
+		}
+	}
+	return -1, nil
+}
+
+// appendFrom appends every row of src, remapping its codes into the
+// column's dictionary; an empty column adopts src's codes and dictionary
+// outright. The caller has checked widths (firstOverlong).
+func (c *stringColumn) appendFrom(src *stringColumn) {
+	if len(c.codes) == 0 {
+		// Capacity-capped views: an append on either side reallocates
+		// instead of writing into the other's backing array.
+		c.codes = src.codes[:len(src.codes):len(src.codes)]
+		c.dict = src.dict[:len(src.dict):len(src.dict)]
+		c.index = nil
+		return
+	}
+	remap := make([]uint32, len(src.dict))
+	for k, s := range src.dict {
+		remap[k] = c.code(s)
+	}
+	for _, x := range src.codes {
+		if x != nullCode {
+			x = remap[x]
+		}
+		c.codes = append(c.codes, x)
+	}
 }
 
 // DictSize returns the number of distinct strings in the column dictionary.
 func (c *stringColumn) DictSize() int { return len(c.dict) }
 
 func (c *stringColumn) Distinct() int { return len(c.dict) }
+
+// cloneColumn returns an independent copy of c: payloads, NULL sets and
+// a string column's dictionary and index are copied as they are.
+func cloneColumn(c Column) Column {
+	switch c := c.(type) {
+	case *intColumn:
+		return &intColumn{data: slices.Clone(c.data), nil_: c.nil_.clone(), kind: c.kind}
+	case *floatColumn:
+		return &floatColumn{data: slices.Clone(c.data), nil_: c.nil_.clone()}
+	case *boolColumn:
+		return &boolColumn{data: slices.Clone(c.data), nil_: c.nil_.clone()}
+	case *stringColumn:
+		return &stringColumn{codes: slices.Clone(c.codes), dict: slices.Clone(c.dict),
+			index: maps.Clone(c.index), width: c.width}
+	}
+	panic(fmt.Sprintf("graql: cloneColumn: unknown column %T", c))
+}
+
+// overlongRow is firstOverlong for a pair of string columns; row -1
+// for any other pair (a value-by-value append checks as it goes).
+func overlongRow(dst, src Column) (int, error) {
+	d, ok := dst.(*stringColumn)
+	s, ok2 := src.(*stringColumn)
+	if !ok || !ok2 {
+		return -1, nil
+	}
+	return d.firstOverlong(s)
+}
+
+// appendColumn appends every row of src to dst. Columns of the same
+// representation copy their payload (string columns remap dictionary
+// codes, widths checked beforehand by overlongRow); anything else goes
+// value by value through Append.
+func appendColumn(dst, src Column) error {
+	switch d := dst.(type) {
+	case *intColumn:
+		if s, ok := src.(*intColumn); ok && s.kind == d.kind {
+			d.nil_.appendFrom(&s.nil_, len(d.data))
+			d.data = append(d.data, s.data...)
+			return nil
+		}
+	case *floatColumn:
+		if s, ok := src.(*floatColumn); ok {
+			d.nil_.appendFrom(&s.nil_, len(d.data))
+			d.data = append(d.data, s.data...)
+			return nil
+		}
+	case *boolColumn:
+		if s, ok := src.(*boolColumn); ok {
+			d.nil_.appendFrom(&s.nil_, len(d.data))
+			d.data = append(d.data, s.data...)
+			return nil
+		}
+	case *stringColumn:
+		if s, ok := src.(*stringColumn); ok {
+			d.appendFrom(s)
+			return nil
+		}
+	}
+	for i := 0; i < src.Len(); i++ {
+		if err := dst.Append(src.Value(uint32(i))); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -20,7 +20,9 @@ func Seekable(k value.Kind) bool {
 // It is one typed pass over the column with no per-row value boxing or
 // expression evaluation: a string probe looks its dictionary code up
 // once and compares codes, an int or date probe compares the stored
-// integers. It keeps no state, so concurrent seeks need no locking.
+// integers. It keeps no state and builds none (a string column without
+// its index scans its dictionary for the code), so concurrent seeks need
+// no locking.
 func (t *Table) SeekEq(col int, v value.Value) []uint32 {
 	c := t.cols[col]
 	if v.IsNull() || v.Kind() != c.Kind() || !Seekable(c.Kind()) {
@@ -29,7 +31,7 @@ func (t *Table) SeekEq(col int, v value.Value) []uint32 {
 	var out []uint32
 	switch c := c.(type) {
 	case *stringColumn:
-		code, ok := c.index[v.Str()]
+		code, ok := c.lookup(v.Str())
 		if !ok {
 			code = nullCode // absent value: only the NULL rows remain
 		}

@@ -119,11 +119,12 @@ func (t *Table) Gather(name string, idx []uint32) *Table {
 // clone never disturbs the original, so mutations can build a new table
 // version aside while readers keep using the published one.
 func (t *Table) Clone() *Table {
-	idx := make([]uint32, t.rows)
-	for i := range idx {
-		idx[i] = uint32(i)
+	out := &Table{Name: t.Name, schema: t.schema.Clone(), rows: t.rows}
+	out.cols = make([]Column, len(t.cols))
+	for i, c := range t.cols {
+		out.cols[i] = cloneColumn(c)
 	}
-	return t.Gather(t.Name, idx)
+	return out
 }
 
 // ProjectCols returns a new table with only the named column indexes, in
@@ -147,10 +148,44 @@ func (t *Table) AppendTable(src *Table) error {
 	if src.NumCols() != t.NumCols() {
 		return fmt.Errorf("graql: append: column count mismatch (%d vs %d)", src.NumCols(), t.NumCols())
 	}
-	for r := uint32(0); r < uint32(src.rows); r++ {
-		if err := t.AppendRow(src.Row(r)); err != nil {
-			return err
+	return t.AppendColumns(src.cols)
+}
+
+// AppendColumns appends rows given column-wise: cols[i] extends column
+// i, and every cols[i] holds the same number of rows. Same-kind columns
+// append their payloads (string columns remap dictionary codes) instead
+// of boxing each value; the varchar widths of the table's schema still
+// hold, and a too-wide one fails the append before any row is added.
+func (t *Table) AppendColumns(cols []Column) error {
+	if len(cols) != len(t.cols) {
+		return fmt.Errorf("graql: table %s: %d columns appended, want %d", t.Name, len(cols), len(t.cols))
+	}
+	n := -1
+	for i, c := range cols {
+		if n >= 0 && c.Len() != n {
+			return fmt.Errorf("graql: table %s column %s: %d rows appended, want %d", t.Name, t.schema[i].Name, c.Len(), n)
 		}
+		n = c.Len()
+	}
+	// A too-wide varchar fails the append where AppendRow would: at the
+	// first offending row, and within it the first offending column.
+	bad, badRow := -1, 0
+	var badErr error
+	for i, c := range cols {
+		if r, err := overlongRow(t.cols[i], c); r >= 0 && (bad < 0 || r < badRow) {
+			bad, badRow, badErr = i, r, err
+		}
+	}
+	if bad >= 0 {
+		return fmt.Errorf("graql: table %s column %s: %w", t.Name, t.schema[bad].Name, badErr)
+	}
+	for i, c := range cols {
+		if err := appendColumn(t.cols[i], c); err != nil {
+			return fmt.Errorf("graql: table %s column %s: %w", t.Name, t.schema[i].Name, err)
+		}
+	}
+	if n > 0 {
+		t.rows += n
 	}
 	return nil
 }

@@ -14,8 +14,8 @@ import (
 	"graql/internal/web"
 )
 
-// denseWebServer serves the dense synthetic graph (slow unanchored
-// 3-hop enumerations) over HTTP with the given limits and gate.
+// denseWebServer serves the dense synthetic graph (slow closed 4-hop walk
+// enumerations) over HTTP with the given limits and gate.
 func denseWebServer(t *testing.T, limits server.Limits, gate *server.Gate) *httptest.Server {
 	t.Helper()
 	srv := server.New(denseEngine(t), "")
@@ -26,8 +26,8 @@ func denseWebServer(t *testing.T, limits server.Limits, gate *server.Gate) *http
 	return ts
 }
 
-// denseEngine loads the dense synthetic graph whose unanchored 3-hop
-// enumeration takes a few hundred ms.
+// denseEngine loads the dense synthetic graph whose closed-walk
+// enumeration (webSlowQuery) takes a few hundred ms.
 func denseEngine(t *testing.T) *exec.Engine {
 	t.Helper()
 	eng := exec.New(exec.DefaultOptions())
@@ -58,7 +58,9 @@ where Links.src = A.id and Links.dst = B.id
 	return eng
 }
 
-const webSlowQuery = `select a.id as src, d.id as dst from graph def a: N ( ) --link--> N ( ) --link--> N ( ) --link--> def d: N ( ) into table SlowT`
+// webSlowQuery spends its time matching (1.8M expansions), not
+// projecting or encoding its ~12k rows.
+const webSlowQuery = `select a.id as src, e.id as dst from graph def a: N (id < 'v13') --link--> N ( ) --link--> N ( ) --link--> N ( ) --link--> def e: N (id = a.id) into table SlowT`
 
 func postRaw(t *testing.T, ts *httptest.Server, body string) (int, http.Header, map[string]any) {
 	t.Helper()
